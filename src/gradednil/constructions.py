@@ -3,19 +3,41 @@ base, the diagonal integer grading of a matrix ring, graded group rings (in
 both multiplication conventions), amalgamated subrings of a product, and
 componentwise product gradings.
 
-Constructed rings use structured arithmetic (entrywise / coefficientwise on
-encoded indices) instead of materialized tables; every returned grading has
-passed :func:`gradednil.grading.verify_grading`.
+Matrix, triangular and group rings share one arithmetic kernel on base-|R|
+digit vectors (:class:`DigitRing`): digitwise addition, and multiplication
+by product terms fixed when the ring is built.  Rings of at most
+``TABLE_ELEMENT_CAP`` (256) elements keep each result in a flat table filled
+on first use (see :class:`gradednil.rings.StructuredRing`).  Every returned
+grading has passed :func:`gradednil.grading.verify_grading`.
 """
 
+import functools
 import itertools
 
 from .errors import ResourceLimitError, ValidationError
 from .grading import Grading, HomogeneousIdeal, verify_grading, trivial_grading
 from .groups import FiniteGroup, IntegerGroup, INTEGER_GROUP
-from .rings import FiniteRing, ProductRing, additive_span, subring_from_elements
+from .rings import (
+    FiniteRing,
+    ProductRing,
+    StructuredRing,
+    _digits,
+    additive_span,
+    subring_from_elements,
+)
 
 STRUCTURED_ELEMENT_CAP = 1 << 20
+
+# an index is split into digits by looking up chunks of at most this many
+# values in shared tables, instead of one divmod per digit; the tables are
+# keyed by (radix, width) only, so a process holds a handful of them
+DIGIT_CHUNK = 1024
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_table(radix: int, width: int) -> tuple[tuple, ...]:
+    """The `width` digits base `radix` of every index below radix**width."""
+    return tuple(_digits(v, radix, width) for v in range(radix**width))
 
 
 class SigmaVector(tuple):
@@ -28,73 +50,114 @@ class SigmaVector(tuple):
         return super().__new__(cls, entries)
 
 
-class MatrixRing(FiniteRing):
+class DigitRing(StructuredRing):
+    """Elements are digit vectors over a base ring R, encoded base-|R| with
+    the first digit least significant.
+
+    Addition and negation are digitwise.  Multiplication is bilinear: output
+    digit k is the sum of a[i] * b[j] over the pairs ``mul_terms[k]``, fixed
+    when the ring is built.
+    """
+
+    def __init__(self, base: FiniteRing, ndigits: int, mul_terms: list):
+        super().__init__()
+        self.base = base
+        self.ndigits = ndigits
+        self._mul_terms = mul_terms
+        # split the digits into equal low chunks plus a top chunk
+        r = base.size
+        width = 1
+        while width < ndigits and r ** (width + 1) <= DIGIT_CHUNK:
+            width += 1
+        nchunks = -(-ndigits // width)
+        width = -(-ndigits // nchunks)
+        self._low_chunks = nchunks - 1
+        self._chunk = r**width
+        self._chunk_table = _digit_table(r, width)
+        self._top_table = _digit_table(r, ndigits - self._low_chunks * width)
+
+    def digits(self, x: int) -> list[int]:
+        out = []
+        chunk, table = self._chunk, self._chunk_table
+        for _ in range(self._low_chunks):
+            x, low = divmod(x, chunk)
+            out += table[low]
+        out += self._top_table[x]
+        return out
+
+    def from_digits(self, digits) -> int:
+        r = self.base.size
+        idx = 0
+        for d in reversed(digits):
+            idx = idx * r + d
+        return idx
+
+    def _add(self, a: int, b: int) -> int:
+        badd = self.base.add
+        return self.from_digits([badd(x, y) for x, y in zip(self.digits(a), self.digits(b))])
+
+    def _neg(self, a: int) -> int:
+        bneg = self.base.neg
+        return self.from_digits([bneg(x) for x in self.digits(a)])
+
+    def _mul(self, a: int, b: int) -> int:
+        return self.from_digits(self._mul_digits(self.digits(a), self.digits(b)))
+
+    def _mul_digits(self, da: list, db: list) -> list:
+        badd, bmul = self.base.add, self.base.mul
+        out = []
+        for terms in self._mul_terms:
+            acc = 0
+            for i, j in terms:
+                x = da[i]
+                if x:
+                    y = db[j]
+                    if y:
+                        p = bmul(x, y)
+                        acc = badd(acc, p) if acc else p
+            out.append(acc)
+        return out
+
+
+class MatrixRing(DigitRing):
     """n x n matrices over a finite base ring, encoded base-|R| row-major."""
 
+    symbol = "M"
+
+    @staticmethod
+    def matrix_positions(n: int) -> list:
+        return [(i, j) for i in range(n) for j in range(n)]
+
     def __init__(self, base: FiniteRing, n: int, max_elements: int = STRUCTURED_ELEMENT_CAP):
-        super().__init__()
         if n < 1:
             raise ValidationError(f"matrix size must be >= 1, got {n}")
-        size = base.size ** (n * n)
+        positions = self.matrix_positions(n)
+        size = base.size ** len(positions)
         if size > max_elements:
             raise ResourceLimitError(
-                f"M_{n}({base.label}) has {size} elements, over cap", limit=max_elements
+                f"{self.symbol}_{n}({base.label}) has {size} elements, over cap",
+                limit=max_elements,
             )
-        self.base = base
+        # (i, j) of a product sums a(i, k) * b(k, j) over the stored positions
+        index = {pos: k for k, pos in enumerate(positions)}
+        terms = [
+            [(index[(i, k)], index[(k, j)]) for k in range(n)
+             if (i, k) in index and (k, j) in index]
+            for (i, j) in positions
+        ]
+        super().__init__(base, len(positions), terms)
         self.n = n
         self.size = size
-        self.positions = [(i, j) for i in range(n) for j in range(n)]
-        self.one = self.encode_entries(
-            {(i, i): base.one for i in range(n)}
-        )
-        self.label = f"M{n}({base.label})"
+        self.positions = positions
+        self.one = self.encode_entries({(i, i): base.one for i in range(n)})
+        self.label = f"{self.symbol}{n}({base.label})"
 
     # entries are dicts {(i, j): base element}, omitted entries are zero
     def encode_entries(self, entries: dict) -> int:
-        idx = 0
-        for pos in reversed(self.positions):
-            idx = idx * self.base.size + entries.get(pos, 0)
-        return idx
+        return self.from_digits([entries.get(pos, 0) for pos in self.positions])
 
     def decode(self, x: int) -> dict:
-        out = {}
-        for pos in self.positions:
-            x, r = divmod(x, self.base.size)
-            if r:
-                out[pos] = r
-        return out
-
-    def add(self, a: int, b: int) -> int:
-        da, db = self.decode(a), self.decode(b)
-        out = dict(da)
-        badd = self.base.add
-        for pos, v in db.items():
-            s = badd(out.get(pos, 0), v)
-            if s:
-                out[pos] = s
-            else:
-                out.pop(pos, None)
-        return self.encode_entries(out)
-
-    def neg(self, a: int) -> int:
-        bneg = self.base.neg
-        return self.encode_entries({p: bneg(v) for p, v in self.decode(a).items()})
-
-    def mul(self, a: int, b: int) -> int:
-        da, db = self.decode(a), self.decode(b)
-        badd, bmul = self.base.add, self.base.mul
-        out: dict = {}
-        for (i, k), va in da.items():
-            for (k2, j), vb in db.items():
-                if k != k2:
-                    continue
-                pos = (i, j)
-                s = badd(out.get(pos, 0), bmul(va, vb))
-                if s:
-                    out[pos] = s
-                else:
-                    out.pop(pos, None)
-        return self.encode_entries(out)
+        return {pos: d for pos, d in zip(self.positions, self.digits(x)) if d}
 
     def additive_generators(self) -> list[int]:
         gens = []
@@ -116,22 +179,11 @@ class MatrixRing(FiniteRing):
 class TriangularRing(MatrixRing):
     """Upper-triangular n x n matrices, packing only positions i <= j."""
 
-    def __init__(self, base: FiniteRing, n: int, max_elements: int = STRUCTURED_ELEMENT_CAP):
-        FiniteRing.__init__(self)
-        if n < 1:
-            raise ValidationError(f"matrix size must be >= 1, got {n}")
-        npos = n * (n + 1) // 2
-        size = base.size**npos
-        if size > max_elements:
-            raise ResourceLimitError(
-                f"T_{n}({base.label}) has {size} elements, over cap", limit=max_elements
-            )
-        self.base = base
-        self.n = n
-        self.size = size
-        self.positions = [(i, j) for i in range(n) for j in range(i, n)]
-        self.one = self.encode_entries({(i, i): base.one for i in range(n)})
-        self.label = f"T{n}({base.label})"
+    symbol = "T"
+
+    @staticmethod
+    def matrix_positions(n: int) -> list:
+        return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 def _component_entry_degrees(group, sigma: SigmaVector, lam, positions):
@@ -243,7 +295,7 @@ def diagonal_z_grading(base_ring: FiniteRing, n: int,
 # group rings
 
 
-class GroupRingRing(FiniteRing):
+class GroupRingRing(DigitRing):
     """Functions G -> R encoded base-|R| per group position.
 
     ``mode`` selects the multiplication: ``standard`` convolution places
@@ -255,15 +307,26 @@ class GroupRingRing(FiniteRing):
 
     def __init__(self, base_grading: Grading, group: FiniteGroup, mode: str = "standard",
                  max_elements: int = STRUCTURED_ELEMENT_CAP):
-        super().__init__()
         if mode not in ("standard", "paper_twisted"):
             raise ValidationError(f"unknown group ring mode {mode!r}")
         base = base_grading.ring
         size = base.size**group.order
         if size > max_elements:
             raise ResourceLimitError("group ring exceeds element cap", limit=max_elements)
+        elems = group.elements()
+        gop = [[group.op(g, h) for h in elems] for g in elems]
+        # standard convolution: position k sums a(g) * b(h) over g * h = k
+        terms = [[(g, h) for g in elems for h in elems if gop[g][h] == k] for k in elems]
+        super().__init__(base, group.order, terms)
+        if mode == "paper_twisted":
+            # each base coefficient's homogeneous parts, and the position
+            # hdeg^-1 * g * hdeg * h that a part of degree hdeg sends (g, h) to
+            self._parts = [list(base_grading.decompose(c).items()) for c in base.elements()]
+            self._twist = [
+                [[gop[gop[gop[group.inv(d)][g]][d]][h] for h in elems] for g in elems]
+                for d in elems
+            ]
         self.base_grading = base_grading
-        self.base = base
         self.group = group
         self.mode = mode
         self.size = size
@@ -271,63 +334,27 @@ class GroupRingRing(FiniteRing):
         self.label = f"{base.label}[{group.name}]({mode})"
 
     def encode(self, coeffs: dict) -> int:
-        idx = 0
-        for h in range(self.group.order - 1, -1, -1):
-            idx = idx * self.base.size + coeffs.get(h, 0)
-        return idx
+        return self.from_digits([coeffs.get(h, 0) for h in range(self.group.order)])
 
     def decode(self, x: int) -> dict:
-        out = {}
-        for h in range(self.group.order):
-            x, r = divmod(x, self.base.size)
-            if r:
-                out[h] = r
-        return out
+        return {h: d for h, d in enumerate(self.digits(x)) if d}
 
-    def add(self, a: int, b: int) -> int:
-        da, db = self.decode(a), self.decode(b)
-        out = dict(da)
-        badd = self.base.add
-        for h, v in db.items():
-            s = badd(out.get(h, 0), v)
-            if s:
-                out[h] = s
-            else:
-                out.pop(h, None)
-        return self.encode(out)
-
-    def neg(self, a: int) -> int:
-        bneg = self.base.neg
-        return self.encode({h: bneg(v) for h, v in self.decode(a).items()})
-
-    def mul(self, a: int, b: int) -> int:
-        da, db = self.decode(a), self.decode(b)
-        badd, bmul = self.base.add, self.base.mul
-        gop, ginv = self.group.op, self.group.inv
-        out: dict = {}
-
-        def put(pos, val):
-            if not val:
-                return
-            s = badd(out.get(pos, 0), val)
-            if s:
-                out[pos] = s
-            else:
-                out.pop(pos, None)
-
+    def _mul_digits(self, da: list, db: list) -> list:
         if self.mode == "standard":
-            for g1, c1 in da.items():
-                for g2, c2 in db.items():
-                    put(gop(g1, g2), bmul(c1, c2))
-        else:
-            # split each coefficient into homogeneous base parts; the degree
-            # of the second factor's part twists the position of the first
-            for gpos, c1 in da.items():
-                for hpos, c2 in db.items():
-                    for hdeg, part2 in self.base_grading.decompose(c2).items():
-                        pos = gop(gop(gop(ginv(hdeg), gpos), hdeg), hpos)
-                        put(pos, bmul(c1, part2))
-        return self.encode(out)
+            return super()._mul_digits(da, db)
+        # the degree of the second factor's part twists the first's position
+        badd, bmul = self.base.add, self.base.mul
+        out = [0] * self.ndigits
+        for h, c2 in enumerate(db):
+            if not c2:
+                continue
+            for deg, part in self._parts[c2]:
+                twist = self._twist[deg]
+                for g, c1 in enumerate(da):
+                    if c1:
+                        pos = twist[g][h]
+                        out[pos] = badd(out[pos], bmul(c1, part))
+        return out
 
     def additive_generators(self) -> list[int]:
         gens = []

@@ -2,12 +2,16 @@
 
 Every ring exposes elements as indices ``0..size-1`` where index 0 is the
 zero element.  Small leaf rings (Z_n, GF(q), quotients, subrings) carry
-explicit operation tables; the large constructed rings in
-:mod:`gradednil.constructions` override the arithmetic methods instead and
-never materialize tables.
+explicit operation tables.  Structured rings (products here, and the matrix
+and group rings of :mod:`gradednil.constructions`) compute each result with
+a kernel on the element's digits; with at most ``TABLE_ELEMENT_CAP``
+elements they memoize every result in a flat table filled on first use, so a
+ring that is only built never pays for a quadratic table.
 """
 
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ResourceLimitError, ValidationError
 from .groups import is_prime
@@ -19,6 +23,12 @@ LAW_CHECK_CAP = 64
 
 # Classical radical computation is quadratic in ring size.
 RADICAL_SIZE_CAP = 4096
+
+# Structured rings up to this size memoize add/mul in flat array('H') tables:
+# element indices below 256 and the miss marker 0xFFFF all fit in 16 bits, and
+# a full n*n table then takes at most 128 KiB.
+TABLE_ELEMENT_CAP = 256
+_MISS = 0xFFFF
 
 
 class FiniteRing:
@@ -152,6 +162,72 @@ class TableRing(FiniteRing):
         if self.element_names is not None:
             return self.element_names[x]
         return str(x)
+
+
+def _lazy_table(ring: FiniteRing, length: int):
+    if ring.size > TABLE_ELEMENT_CAP:
+        return None
+    return array("H", [_MISS]) * length
+
+
+class StructuredRing(FiniteRing):
+    """Ring whose subclass computes results with index kernels ``_add``,
+    ``_neg`` and ``_mul``.
+
+    With at most TABLE_ELEMENT_CAP elements each result is computed once and
+    kept in a flat table; the tables are allocated on the first call.  Larger
+    rings run the kernel on every call.
+    """
+
+    @cached_property
+    def _add_table(self):
+        return _lazy_table(self, self.size * self.size)
+
+    @cached_property
+    def _mul_table(self):
+        return _lazy_table(self, self.size * self.size)
+
+    @cached_property
+    def _neg_table(self):
+        return _lazy_table(self, self.size)
+
+    def add(self, a: int, b: int) -> int:
+        table = self._add_table
+        if table is None:
+            return self._add(a, b)
+        k = a * self.size + b
+        v = table[k]
+        if v == _MISS:
+            v = table[k] = self._add(a, b)
+        return v
+
+    def neg(self, a: int) -> int:
+        table = self._neg_table
+        if table is None:
+            return self._neg(a)
+        v = table[a]
+        if v == _MISS:
+            v = table[a] = self._neg(a)
+        return v
+
+    def mul(self, a: int, b: int) -> int:
+        table = self._mul_table
+        if table is None:
+            return self._mul(a, b)
+        k = a * self.size + b
+        v = table[k]
+        if v == _MISS:
+            v = table[k] = self._mul(a, b)
+        return v
+
+    def _add(self, a: int, b: int) -> int:
+        raise NotImplementedError
+
+    def _neg(self, a: int) -> int:
+        raise NotImplementedError
+
+    def _mul(self, a: int, b: int) -> int:
+        raise NotImplementedError
 
 
 def check_ring_axioms(ring: FiniteRing, cap: int = LAW_CHECK_CAP) -> None:
@@ -485,7 +561,7 @@ def quotient_ring(ring: FiniteRing, ideal) -> tuple[TableRing, list[int]]:
     return quot, proj  # type: ignore[return-value]
 
 
-class ProductRing(FiniteRing):
+class ProductRing(StructuredRing):
     """Direct product with componentwise operations; indices are mixed-radix."""
 
     def __init__(self, factors: list[FiniteRing], max_elements: int = 1 << 20):
@@ -515,15 +591,15 @@ class ProductRing(FiniteRing):
             out.append(r)
         return tuple(out)
 
-    def add(self, a: int, b: int) -> int:
+    def _add(self, a: int, b: int) -> int:
         return self.encode(
             [f.add(x, y) for f, x, y in zip(self.factors, self.decode(a), self.decode(b))]
         )
 
-    def neg(self, a: int) -> int:
+    def _neg(self, a: int) -> int:
         return self.encode([f.neg(x) for f, x in zip(self.factors, self.decode(a))])
 
-    def mul(self, a: int, b: int) -> int:
+    def _mul(self, a: int, b: int) -> int:
         return self.encode(
             [f.mul(x, y) for f, x, y in zip(self.factors, self.decode(a), self.decode(b))]
         )

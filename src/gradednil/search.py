@@ -116,13 +116,18 @@ _MS = [2, 3, 4, 5]
 
 
 class _Factory:
-    """Builds and caches instances from small structured families."""
+    """Builds instances from small structured families.
+
+    A key is (kind, ring, group, param, m).  The grading does not depend on
+    m, so each shape (the key without m) is built once, and every m wraps the
+    same grading, with its ring's arithmetic tables, in its own Instance.
+    """
 
     def __init__(self):
         self._rings = {}
         self._groups = {}
         self._gradings = {}
-        self._built = {}
+        self._shapes = {}
 
     def group(self, tag: str):
         if tag not in self._groups:
@@ -141,50 +146,54 @@ class _Factory:
         return self._gradings[key]
 
     def build(self, key: tuple) -> Instance | None:
-        if key in self._built:
-            return self._built[key]
-        inst = self._build(key)
-        self._built[key] = inst
-        return inst
+        shape, m = key[:-1], key[-1]
+        if shape not in self._shapes:
+            self._shapes[shape] = self._build(shape)
+        built = self._shapes[shape]
+        if built is None:
+            return None
+        grading, aux = built
+        kind, ring_tag, group_tag, param = shape
+        name = f"{kind}[{ring_tag},{group_tag},{param}] m={m}"
+        return Instance(name, kind, m, grading, aux)
 
-    def _build(self, key: tuple) -> Instance | None:
-        kind, ring_tag, group_tag, param, m = key
+    def _build(self, shape: tuple) -> tuple[Grading, dict] | None:
+        kind, ring_tag, group_tag, param = shape
         try:
             base = self.base(ring_tag, group_tag)
-            name = f"{kind}[{ring_tag},{group_tag},{param}] m={m}"
             if kind == "leaf":
-                return Instance(name, kind, m, base, {"base": base})
+                return base, {"base": base}
             if kind == "triangular":
                 n, sigma = param
                 if base.ring.size ** (n * (n + 1) // 2) > SEARCH_RING_CAP:
                     return None
                 gr, ideal = triangular_graded(base, n, sigma)
-                return Instance(name, kind, m, gr, {"base": base, "ideal": ideal})
+                return gr, {"base": base, "ideal": ideal}
             if kind == "matrix":
                 n, sigma = param
                 if base.ring.size ** (n * n) > SEARCH_RING_CAP:
                     return None
                 gr = matrix_graded(base, n, sigma)
-                return Instance(name, kind, m, gr, {"base": base, "sigma": sigma})
+                return gr, {"base": base, "sigma": sigma}
             if kind == "diagonal_z":
                 n = param
                 if base.ring.size ** (n * n) > SEARCH_RING_CAP:
                     return None
                 gr = diagonal_z_grading(base.ring, n)
-                return Instance(name, kind, m, gr, {"base_ring": base.ring})
+                return gr, {"base_ring": base.ring}
             if kind == "group_ring":
                 group = self.group(group_tag)
                 if base.ring.size**group.order > SEARCH_RING_CAP:
                     return None
                 gr = group_ring_graded(base, group)
-                return Instance(name, kind, m, gr, {"base": base, "group": group})
+                return gr, {"base": base, "group": group}
             if kind == "product":
                 other_tag = param
                 other = self.base(other_tag, group_tag)
                 if base.ring.size * other.ring.size > SEARCH_RING_CAP:
                     return None
                 gr = product_grading([base, other])
-                return Instance(name, kind, m, gr, {"factors": [base, other]})
+                return gr, {"factors": [base, other]}
             if kind == "amalgamation":
                 if not base.ring.is_commutative():
                     return None
@@ -197,15 +206,14 @@ class _Factory:
                 spec = AmalgamationSpec(base, base, list(range(base.ring.size)), ideal)
                 gr = amalgamation(spec)
                 image = image_subring_grading(spec)
-                return Instance(name, kind, m, gr,
-                                {"a": base, "image": image, "spec": spec})
+                return gr, {"a": base, "image": image, "spec": spec}
             if kind == "quotient":
                 gen = param % base.ring.size
                 if not base.is_homogeneous(gen) or not is_nilpotent(base.ring, gen):
                     return None
                 ideal = homogeneous_two_sided_ideal_closure(base, [gen])
                 gr, _ = graded_quotient(base, ideal)
-                return Instance(name, kind, m, gr, {"base": base, "parent_ideal": ideal})
+                return gr, {"base": base, "parent_ideal": ideal}
         except (GradedNilError, KeyError):
             return None
         return None
@@ -232,7 +240,8 @@ def _catalog_keys():
     return keys
 
 
-# instances are immutable, so one factory serves every search in a process
+# instances are immutable, so one factory serves every search in a process;
+# its gradings are shared across m and keep their rings' arithmetic tables
 _SHARED_FACTORY = _Factory()
 
 

@@ -19,9 +19,11 @@ from gradednil.grading import (
     ZERO_DEGREE,
     homogeneous_two_sided_ideal_closure,
     trivial_grading,
+    verify_grading,
 )
-from gradednil.groups import make_cyclic
+from gradednil.groups import FiniteGroup, make_cyclic
 from gradednil.rings import (
+    TableRing,
     additive_span,
     check_ring_axioms,
     is_nilpotent,
@@ -347,3 +349,157 @@ def test_constructions_validate_their_gradings():
             for x in grading.components[g]:
                 for y in grading.components[h]:
                     assert ring.mul(x, y) in target
+
+
+# ---------------------------------------------------------------------------
+# arithmetic against entrywise / convolution references on decode()
+
+
+def _matrix_reference(ring):
+    """Entrywise matrix arithmetic on decode() dicts, in the base ring."""
+    base = ring.base
+
+    def add(da, db):
+        out = {p: base.add(da.get(p, 0), db.get(p, 0)) for p in ring.positions}
+        return {p: v for p, v in out.items() if v}
+
+    def neg(da):
+        return {p: base.neg(v) for p, v in da.items()}
+
+    def mul(da, db):
+        out = {}
+        for (i, j) in ring.positions:
+            acc = 0
+            for k in range(ring.n):
+                acc = base.add(acc, base.mul(da.get((i, k), 0), db.get((k, j), 0)))
+            if acc:
+                out[(i, j)] = acc
+        return out
+
+    return add, neg, mul
+
+
+def _group_ring_reference(ring):
+    """Coefficient arithmetic on decode() dicts; paper_twisted sends a
+    degree-d part at position h, times a coefficient at position g, to
+    d^-1 * g * d * h."""
+    base, group = ring.base, ring.group
+
+    def add(da, db):
+        out = {h: base.add(da.get(h, 0), db.get(h, 0)) for h in group.elements()}
+        return {h: v for h, v in out.items() if v}
+
+    def neg(da):
+        return {h: base.neg(v) for h, v in da.items()}
+
+    def mul(da, db):
+        out = {}
+        for g, c1 in da.items():
+            for h, c2 in db.items():
+                if ring.mode == "standard":
+                    terms = [(group.op(g, h), base.mul(c1, c2))]
+                else:
+                    terms = [
+                        (group.op(group.op(group.op(group.inv(d), g), d), h), base.mul(c1, part))
+                        for d, part in ring.base_grading.decompose(c2).items()
+                    ]
+                for pos, val in terms:
+                    out[pos] = base.add(out.get(pos, 0), val)
+        return {h: v for h, v in out.items() if v}
+
+    return add, neg, mul
+
+
+def _product_reference(ring):
+    """Componentwise arithmetic on decode() tuples, in the factor rings."""
+    fs = ring.factors
+    return (
+        lambda da, db: tuple(f.add(x, y) for f, x, y in zip(fs, da, db)),
+        lambda da: tuple(f.neg(x) for f, x in zip(fs, da)),
+        lambda da, db: tuple(f.mul(x, y) for f, x, y in zip(fs, da, db)),
+    )
+
+
+def _graded_base_c2():
+    """Z2[C2], graded by C2 with the group element in degree 1."""
+    return group_ring_graded(trivial_grading(make_zn(2), C2), C2)
+
+
+def _twisted_s3_group_ring():
+    """Z2[x]/(x^2) with x in the degree of a transposition, over S3: the
+    twisted positions then differ from the convolution ones."""
+    perms = list(itertools.permutations(range(3)))
+    at = {p: i for i, p in enumerate(perms)}
+    s3 = FiniteGroup([[at[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms], "S3")
+    # a + b*x is index a + 2b
+    add = [[(a ^ c) for c in range(4)] for a in range(4)]
+    mul = [[(a & c & 1) | (((a & 1) & (c >> 1)) ^ ((a >> 1) & (c & 1))) << 1 for c in range(4)]
+           for a in range(4)]
+    dual = TableRing(add, mul, one=1, label="Z2[x]/x^2")
+    base = verify_grading(dual, s3, {0: [1], at[(0, 2, 1)]: [2]})
+    return group_ring_graded(base, s3, "paper_twisted").ring
+
+
+ARITHMETIC_CASES = {
+    # at the table cap
+    "matrix-m2-z4": lambda: matrix_graded(trivial_grading(make_zn(4), C2), 2, (0, 1)).ring,
+    "triangular-t3-z2": lambda: triangular_graded(
+        trivial_grading(make_zn(2), C2), 3, (0, 1, 0))[0].ring,
+    "diagonal_z-m2-z3": lambda: diagonal_z_grading(make_zn(3), 2).ring,
+    "group_ring-standard-z4-c3": lambda: group_ring_graded(
+        trivial_grading(make_zn(4), make_cyclic(3)), make_cyclic(3)).ring,
+    "group_ring-paper_twisted-graded-base": lambda: group_ring_graded(
+        _graded_base_c2(), C2, "paper_twisted").ring,
+    "product-t2gf3-gf3": lambda: product_grading([
+        triangular_graded(trivial_grading(make_gf(3), C2), 2, (0, 1))[0],
+        trivial_grading(make_gf(3), C2),
+    ]).ring,
+    "matrix-over-group-ring": lambda: matrix_graded(_graded_base_c2(), 2, (0, 1)).ring,
+    # above the table cap: the kernel runs on every call
+    "matrix-m3-z2": lambda: matrix_graded(trivial_grading(make_zn(2), C1), 3, (0, 0, 0)).ring,
+    "group_ring-paper_twisted-s3": _twisted_s3_group_ring,
+}
+
+
+def _canonical(decoded):
+    return tuple(sorted(decoded.items())) if isinstance(decoded, dict) else decoded
+
+
+@pytest.mark.parametrize("case", sorted(ARITHMETIC_CASES))
+def test_structured_arithmetic_matches_reference(case):
+    """Every pair within the table cap.  Above it, where every pair would
+    take seconds, the right operand runs over a fixed sample of 64 elements,
+    and so does the left one beyond 1024 elements."""
+    from gradednil.constructions import GroupRingRing, MatrixRing
+    from gradednil.rings import TABLE_ELEMENT_CAP
+
+    ring = ARITHMETIC_CASES[case]()
+    if isinstance(ring, MatrixRing):
+        ref_add, ref_neg, ref_mul = _matrix_reference(ring)
+    elif isinstance(ring, GroupRingRing):
+        ref_add, ref_neg, ref_mul = _group_ring_reference(ring)
+    else:
+        ref_add, ref_neg, ref_mul = _product_reference(ring)
+    n = ring.size
+    assert (n <= TABLE_ELEMENT_CAP) == (case not in ("matrix-m3-z2", "group_ring-paper_twisted-s3"))
+    decoded = [ring.decode(x) for x in ring.elements()]
+    index = {_canonical(d): x for x, d in enumerate(decoded)}
+    assert len(index) == n
+    sample = range(0, n, max(1, n // 64))
+    right = ring.elements() if n <= TABLE_ELEMENT_CAP else sample
+    for a in (ring.elements() if n <= 1024 else sample):
+        da = decoded[a]
+        assert ring.neg(a) == index[_canonical(ref_neg(da))]
+        for b in right:
+            db = decoded[b]
+            assert ring.add(a, b) == index[_canonical(ref_add(da, db))], ("add", a, b)
+            assert ring.mul(a, b) == index[_canonical(ref_mul(da, db))], ("mul", a, b)
+    if n > TABLE_ELEMENT_CAP:
+        assert ring._add_table is None and ring._mul_table is None
+        return
+    # every pair is now in the tables, and a second call reads them
+    for table, op in ((ring._add_table, ring.add), (ring._mul_table, ring.mul)):
+        assert len(table) == n * n and 0xFFFF not in table
+        for a in ring.elements():
+            for b in ring.elements():
+                assert op(a, b) == table[a * n + b]

@@ -279,6 +279,31 @@ def test_forward_targets_clean_on_modest_budget():
         assert not report.found, f"{target}: {report.counterexamples}"
 
 
+def test_factory_shares_one_grading_across_m():
+    from gradednil.search import _Factory
+
+    factory = _Factory()
+    shapes = []
+    build_shape = factory._build
+
+    def counted(shape):
+        shapes.append(shape)
+        return build_shape(shape)
+
+    factory._build = counted
+    shape = ("triangular", "z2", "c2", (2, (0, 1)))
+    insts = [factory.build(shape + (m,)) for m in (2, 3, 5)]
+    assert len({id(inst.grading) for inst in insts}) == 1
+    assert [inst.m for inst in insts] == [2, 3, 5]
+    assert [inst.name.rsplit(" ", 1)[1] for inst in insts] == ["m=2", "m=3", "m=5"]
+    assert insts[0].aux["ideal"] is insts[2].aux["ideal"]
+    assert shapes == [shape]
+    # over the search's ring cap, and a quotient by a non-nilpotent generator
+    for none_shape in (("matrix", "z6", "c2", (3, (0, 0, 0))), ("quotient", "z3", "c1", 1)):
+        assert all(factory.build(none_shape + (m,)) is None for m in (2, 3, 4))
+    assert len(shapes) == 3
+
+
 def test_target_partition():
     assert set(EXPECTED_COUNTEREXAMPLE_TARGETS) <= set(TARGETS)
     assert not set(EXPECTED_COUNTEREXAMPLE_TARGETS) & set(FORWARD_TARGETS)

@@ -1,5 +1,9 @@
 """Registered checks: one per structural claim the library can decide.
 
+Each check is the only definition of its claim: ``run_checks`` runs it on a
+corpus entry, and the counterexample search (``search.TARGETS``) runs it on
+generated instances, both through :func:`evaluate_check`.
+
 Statuses:
 
 * ``pass``       - the claim held (or its hypotheses were not met: vacuous).
@@ -8,6 +12,10 @@ Statuses:
 * ``falsified``  - a claim the theory guarantees was violated, or a fixture
                    expectation broke; these drive the nonzero exit code.
 * ``skipped-resource`` - an enumeration cap was hit before a verdict.
+
+A check whose hypotheses fail returns ``vacuous``; ``run_checks`` reports it
+as ``pass`` with a ``vacuous: ...`` detail, and the search counts it as an
+instance that did not meet the hypothesis.
 """
 
 import time
@@ -67,7 +75,11 @@ class CheckReport:
 
 
 class CheckContext:
-    """Shared state for one entry's check run, with memoized decisions."""
+    """Shared state for one entry's check run.
+
+    Decisions and the graded radical are memoized on the grading itself; the
+    identity-component subring is kept here, for this run only.
+    """
 
     def __init__(self, parsed: ParsedSpec, limits: Limits):
         self.parsed = parsed
@@ -79,35 +91,25 @@ class CheckContext:
         self.ideal = parsed.ideal
         self.meta = parsed.meta
         self.kind = parsed.kind
-        self._memo: dict = {}
+        self._identity_subring = None
 
-    def decided(self, strong: bool = False, grading=None):
-        grading = grading or self.grading
-        key = ("mnc", id(grading), strong)
-        if key not in self._memo:
-            self._memo[key] = is_graded_m_nil_clean_ring(grading, self.m, strong)
-        return self._memo[key]
+    def decided(self, strong: bool = False):
+        return is_graded_m_nil_clean_ring(self.grading, self.m, strong)
 
     def torsion_free(self) -> bool:
         return is_m_torsion_free(self.grading.group, self.m - 1)
 
     def jg(self):
-        key = "jg"
-        if key not in self._memo:
-            self._memo[key] = graded_jacobson_radical(
-                self.grading, max_ideals=self.limits.max_ideals
-            )
-        return self._memo[key]
+        return graded_jacobson_radical(self.grading, max_ideals=self.limits.max_ideals)
 
-    def identity_subring(self, grading=None):
-        grading = grading or self.grading
-        key = ("resub", id(grading))
-        if key not in self._memo:
-            e = grading.group.identity
-            self._memo[key] = subring_from_elements(
-                grading.ring, grading.component(e), label=f"{grading.ring.label}_e"
+    def identity_subring(self):
+        if self._identity_subring is None:
+            grading = self.grading
+            self._identity_subring = subring_from_elements(
+                grading.ring, grading.component(grading.group.identity),
+                label=f"{grading.ring.label}_e",
             )
-        return self._memo[key]
+        return self._identity_subring
 
     def fmt(self, x: int, grading=None) -> str:
         grading = grading or self.grading
@@ -124,7 +126,7 @@ class CheckContext:
 
 
 def _vacuous(reason: str):
-    return "pass", None, f"vacuous: {reason}"
+    return "vacuous", None, f"vacuous: {reason}"
 
 
 def _polarity(ctx: CheckContext, key: str, decided: bool, witness: str | None):
@@ -218,6 +220,18 @@ def check_identity_component_m_nil_clean(ctx: CheckContext):
         )
         return "falsified", ctx.fmt(members[bad]), "identity component is not m-nil clean"
     return "pass", None, f"identity component of size {sub.size} is m-nil clean"
+
+
+def check_re_mnc_implies_graded_mnc(ctx: CheckContext):
+    """The converse of identity_component_m_nil_clean.  Finite group rings
+    refute it, so it is a search target and not a registered check."""
+    sub, _index, _members = ctx.identity_subring()
+    if not is_m_nil_clean_ring(sub, ctx.m):
+        return _vacuous("identity component is not m-nil clean")
+    ok, w = ctx.decided()
+    if not ok:
+        return "falsified", ctx.fmt(w), "identity component is m-nil clean but the ring fails"
+    return "pass", None, "identity component and ring are both m-nil clean"
 
 
 def check_nonidentity_components_nil(ctx: CheckContext):
@@ -358,6 +372,7 @@ def check_quotient_equivalence(ctx: CheckContext):
 
 
 def check_jg_graded_nil(ctx: CheckContext):
+    ctx.require_small()
     ok, _ = ctx.decided()
     if not ok:
         return _vacuous("ring is not graded m-nil clean")
@@ -727,6 +742,20 @@ CHECK_REGISTRY = {
 }
 
 
+def evaluate_check(check, ctx: CheckContext) -> tuple[str, str | None, str]:
+    """Run one claim: (status, witness, detail), with a cap hit reported as
+    ``skipped-resource`` and a violated certificate or guarantee as
+    ``falsified``.  The status may be ``vacuous``."""
+    try:
+        return check(ctx)
+    except ResourceLimitError as exc:
+        return "skipped-resource", None, f"{exc} (limit {exc.limit})"
+    except Falsification as exc:
+        return "falsified", exc.claim, str(exc.context)
+    except ValidationError as exc:
+        return "falsified", str(exc.witness), str(exc)
+
+
 def run_checks(parsed: ParsedSpec, limits: Limits | None = None,
                checks: list[str] | None = None) -> list[CheckReport]:
     """Run the entry's checks, returning reports sorted by check name."""
@@ -735,16 +764,10 @@ def run_checks(parsed: ParsedSpec, limits: Limits | None = None,
     names = checks if checks is not None else parsed.checks
     reports = []
     for name in sorted(names):
-        fn = CHECK_REGISTRY[name]
         start = time.perf_counter()
-        try:
-            status, witness, detail = fn(ctx)
-        except ResourceLimitError as exc:
-            status, witness, detail = "skipped-resource", None, f"{exc} (limit {exc.limit})"
-        except Falsification as exc:
-            status, witness, detail = "falsified", exc.claim, str(exc.context)
-        except ValidationError as exc:
-            status, witness, detail = "falsified", str(exc.witness), str(exc)
+        status, witness, detail = evaluate_check(CHECK_REGISTRY[name], ctx)
+        if status == "vacuous":
+            status = "pass"
         reports.append(
             CheckReport(name=name, status=status, witness=witness, detail=detail,
                         seconds=time.perf_counter() - start)

@@ -4,7 +4,7 @@ Verbs:
 
 * ``check FILE``          run one ring description document's checks
 * ``corpus``              run every bundled corpus entry
-* ``report``              run the corpus and emit the report (text/machine)
+* ``report``              alias of ``corpus``
 * ``radical FILE``        print the classical or graded radical of a ring
 * ``search``              seeded counterexample search over a named target
 
@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .checks import CheckReport, run_checks
+from .checks import CheckReport, exit_code, run_checks
 from .corpus import corpus_documents
 from .errors import GradedNilError, SpecError
 from .grading import graded_jacobson_radical
@@ -63,15 +63,6 @@ def _summary(entry_reports) -> dict:
     return counts
 
 
-def _exit_code(entry_reports) -> int:
-    s = _summary(entry_reports)
-    if s["falsified"]:
-        return 1
-    if s["skipped-resource"]:
-        return 3
-    return 0
-
-
 def _limits(args) -> Limits:
     return Limits(max_elements=args.max_elements, max_ideals=args.max_ideals)
 
@@ -87,7 +78,7 @@ def _cmd_check(args) -> int:
     sys.stdout.write(emit_report([(parsed.name, reports)], fmt=args.format))
     if args.emit_spec:
         sys.stdout.write(emit_ring_spec(parsed))
-    return _exit_code([(parsed.name, reports)])
+    return exit_code(reports)
 
 
 def _run_corpus(args, only: str | None = None):
@@ -111,11 +102,7 @@ def _cmd_corpus(args) -> int:
         print(f"error: no corpus entry named {args.only!r}", file=sys.stderr)
         return 2
     sys.stdout.write(emit_report(entry_reports, fmt=args.format))
-    return _exit_code(entry_reports)
-
-
-def _cmd_report(args) -> int:
-    return _cmd_corpus(args)
+    return exit_code([r for _entry, reports in entry_reports for r in reports])
 
 
 def _cmd_radical(args) -> int:
@@ -183,15 +170,11 @@ def main(argv=None) -> int:
                    help="also print the canonical document text")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("corpus", help="run every bundled corpus entry")
+    p = sub.add_parser("corpus", aliases=["report"],
+                       help="run every bundled corpus entry and emit its report")
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.add_argument("--only", default=None, help="run a single named entry")
     p.set_defaults(fn=_cmd_corpus)
-
-    p = sub.add_parser("report", help="run the corpus and emit its report")
-    p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.add_argument("--only", default=None)
-    p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("radical", help="print a ring's radical")
     p.add_argument("file")

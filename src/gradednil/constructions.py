@@ -251,17 +251,7 @@ def triangular_graded(base: Grading, n: int, sigma,
     ring = TriangularRing(base.ring, n, max_elements=max_elements)
     comps = _matrix_components(ring, base, sigma)
     grading = verify_grading(ring, base.group, comps, max_combinations=max_elements)
-
-    strict = [(i, j) for (i, j) in ring.positions if i < j]
-    elems = []
-    for combo in itertools.product(range(base.ring.size), repeat=len(strict)):
-        entries = {pos: v for pos, v in zip(strict, combo) if v}
-        elems.append(ring.encode_entries(entries))
-    ideal = HomogeneousIdeal(
-        frozenset(elems), "two-sided",
-        [(x, grading.degree_of(x)) for x in sorted(elems) if x != 0],
-    )
-    return grading, ideal
+    return grading, zero_diagonal_ideal(grading)
 
 
 def zero_diagonal_ideal(grading: Grading) -> HomogeneousIdeal:

@@ -196,22 +196,6 @@ def trivial_grading(ring: FiniteRing, group=None) -> Grading:
     return verify_grading(ring, group, {group.identity: list(ring.elements())})
 
 
-def support(grading: Grading) -> frozenset:
-    return grading.support
-
-
-def degree_of(grading: Grading, x: int):
-    return grading.degree_of(x)
-
-
-def decompose(grading: Grading, x: int) -> dict:
-    return grading.decompose(x)
-
-
-def homogeneous_elements(grading: Grading):
-    return grading.homogeneous_elements()
-
-
 # ---------------------------------------------------------------------------
 # homogeneous ideals
 

@@ -85,20 +85,27 @@ class PiRegularCertificate:
 # witnesses
 
 
-def m_nil_clean_witness(ring: FiniteRing, x: int, m: int, strong: bool = False
-                        ) -> NilCleanCertificate | None:
-    """First (f, x - f) with f m-potent and x - f nilpotent, in element order."""
-    for f in m_potents(ring, m):
+def _first_split(ring: FiniteRing, x: int, candidates, m: int, strong: bool,
+                 grading: Grading | None = None, degree=None) -> NilCleanCertificate | None:
+    """First candidate f, in the given order, with x - f nilpotent (and
+    commuting with f if strong), as a verified certificate."""
+    for f in candidates:
         n = ring.sub(x, f)
         if not is_nilpotent(ring, n):
             continue
-        if strong and ring.mul(f, n) != ring.mul(n, f):
-            continue
         commuting = ring.mul(f, n) == ring.mul(n, f)
-        cert = NilCleanCertificate(x=x, f=f, n=n, m=m, commuting=commuting)
-        cert.verify(ring)
+        if strong and not commuting:
+            continue
+        cert = NilCleanCertificate(x=x, f=f, n=n, m=m, commuting=commuting, degree=degree)
+        cert.verify(ring, grading)
         return cert
     return None
+
+
+def m_nil_clean_witness(ring: FiniteRing, x: int, m: int, strong: bool = False
+                        ) -> NilCleanCertificate | None:
+    """First (f, x - f) with f m-potent and x - f nilpotent, in element order."""
+    return _first_split(ring, x, m_potents(ring, m), m, strong)
 
 
 def graded_m_nil_clean_witness(grading: Grading, x: int, m: int, strong: bool = False
@@ -119,17 +126,7 @@ def graded_m_nil_clean_witness(grading: Grading, x: int, m: int, strong: bool = 
     candidates = grading.component_m_potents(deg, m)
     if 0 not in candidates:
         candidates = [0] + candidates
-    for f in candidates:
-        n = ring.sub(x, f)
-        if not is_nilpotent(ring, n):
-            continue
-        if strong and ring.mul(f, n) != ring.mul(n, f):
-            continue
-        commuting = ring.mul(f, n) == ring.mul(n, f)
-        cert = NilCleanCertificate(x=x, f=f, n=n, m=m, commuting=commuting, degree=deg)
-        cert.verify(ring, grading)
-        return cert
-    return None
+    return _first_split(ring, x, candidates, m, strong, grading, deg)
 
 
 def is_m_nil_clean_ring(ring: FiniteRing, m: int, strong: bool = False) -> bool:
@@ -153,15 +150,25 @@ def is_graded_m_nil_clean_ring(grading: Grading, m: int, strong: bool = False
     when the grading group is (m-1)-torsion free, a nonzero homogeneous
     m-potent cannot live outside the identity degree, so elements there
     qualify exactly when nilpotent and the scan uses that directly.
-    Returns (decision, first failing homogeneous element or None).
+    Returns (decision, first failing homogeneous element or None), memoized
+    on the grading.
     """
     if m < 2:
         raise ValidationError(f"m must be >= 2, got {m}")
+    key = ("mnc", m, strong)
+    out = grading._memo.get(key)
+    if out is None:
+        bad = _first_graded_unclean(grading, m, strong)
+        out = grading._memo[key] = (bad is None, bad)
+    return out
+
+
+def _first_graded_unclean(grading: Grading, m: int, strong: bool) -> int | None:
     ring = grading.ring
     e = grading.group.identity
     for x in sorted(grading.component(e)):
         if graded_m_nil_clean_witness(grading, x, m, strong) is None:
-            return False, x
+            return x
     torsion_free = is_m_torsion_free(grading.group, m - 1)
     for g in sorted(grading.support):
         if g == e:
@@ -171,18 +178,18 @@ def is_graded_m_nil_clean_ring(grading: Grading, m: int, strong: bool = False
                 continue
             if torsion_free:
                 if not is_nilpotent(ring, x):
-                    return False, x
+                    return x
             elif graded_m_nil_clean_witness(grading, x, m, strong) is None:
-                return False, x
-    return True, None
+                return x
+    return None
 
 
 # ---------------------------------------------------------------------------
 # pi-regular decompositions
 
 
-def pi_regular_witness(ring: FiniteRing, a: int) -> PiRegularCertificate | None:
-    """First strongly pi-regular decomposition a = f + u, in element order."""
+def _pi_regular_decompositions(ring: FiniteRing, a: int):
+    """Yield each strongly pi-regular decomposition a = f + u, by ascending f."""
     for f in idempotents(ring):
         u = ring.sub(a, f)
         if inverse_of(ring, u) is None:
@@ -192,10 +199,15 @@ def pi_regular_witness(ring: FiniteRing, a: int) -> PiRegularCertificate | None:
         faf = ring.mul(f, ring.mul(a, f))
         if not is_nilpotent(ring, faf):
             continue
-        cert = PiRegularCertificate(a=a, f=f, u=u)
+        yield PiRegularCertificate(a=a, f=f, u=u)
+
+
+def pi_regular_witness(ring: FiniteRing, a: int) -> PiRegularCertificate | None:
+    """First strongly pi-regular decomposition a = f + u, in element order."""
+    cert = next(_pi_regular_decompositions(ring, a), None)
+    if cert is not None:
         cert.verify(ring)
-        return cert
-    return None
+    return cert
 
 
 def graded_pi_regular_witness(grading: Grading, a: int) -> PiRegularCertificate | None:
@@ -250,18 +262,7 @@ def strongly_pi_regular_from_m_nil_clean(ring: FiniteRing, f: int, n: int, m: in
 
 def strongly_pi_regular_certificates(ring: FiniteRing, a: int) -> list[PiRegularCertificate]:
     """Every strongly pi-regular decomposition of a (for uniqueness checks)."""
-    out = []
-    for f in idempotents(ring):
-        u = ring.sub(a, f)
-        if inverse_of(ring, u) is None:
-            continue
-        if ring.mul(a, f) != ring.mul(f, a):
-            continue
-        faf = ring.mul(f, ring.mul(a, f))
-        if not is_nilpotent(ring, faf):
-            continue
-        out.append(PiRegularCertificate(a=a, f=f, u=u))
-    return out
+    return list(_pi_regular_decompositions(ring, a))
 
 
 def strongly_pi_regular_uniqueness_check(ring: FiniteRing, a: int) -> bool:

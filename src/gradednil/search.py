@@ -1,16 +1,26 @@
 """Seeded counterexample search over structured families of small graded rings.
 
-A target names an implication; the search draws instances (a systematic
-sweep of the catalog first, then seeded random recombinations), tests the
-hypothesis, and reports every instance where the conclusion fails.  Reports
-are never vacuous: they carry the number of instances that actually met the
-hypothesis alongside the counterexamples or the exhausted budget.
+A target names a claim: a check from ``checks.CHECK_REGISTRY``, or the one
+claim finite instances refute (``re_mnc_implies_graded_mnc``).  The search
+draws instances (a systematic sweep of the catalog first, then seeded random
+recombinations) as ``ParsedSpec`` records, runs the claim on each through the
+evaluator ``run_checks`` uses, and reports every instance where it is
+falsified.  An instance meets the hypothesis when the claim is neither vacuous
+nor cut short by a cap of ``SEARCH_LIMITS``.  Reports are never vacuous: they
+carry the number of instances that met the hypothesis alongside the
+counterexamples or the exhausted budget.
 """
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .checks import (
+    CHECK_REGISTRY,
+    CheckContext,
+    check_re_mnc_implies_graded_mnc,
+    evaluate_check,
+)
 from .constructions import (
     AmalgamationSpec,
     amalgamation,
@@ -21,42 +31,20 @@ from .constructions import (
     product_grading,
     triangular_graded,
 )
-from .errors import GradedNilError, ResourceLimitError
+from .errors import GradedNilError
 from .grading import (
     Grading,
-    ZERO_DEGREE,
-    graded_jacobson_radical,
     graded_quotient,
     homogeneous_two_sided_ideal_closure,
-    is_graded_nil,
     trivial_grading,
 )
-from .groups import IntegerGroup, is_m_torsion_free, is_p_group, is_prime, make_cyclic
-from .nilclean import (
-    is_graded_m_nil_clean_ring,
-    is_m_nil_clean_ring,
-    m_nil_clean_witness,
-    strongly_pi_regular_from_m_nil_clean,
-)
-from .rings import (
-    is_m_potent,
-    is_nilpotent,
-    is_unit,
-    make_gf,
-    make_zn,
-    subring_from_elements,
-)
+from .groups import make_cyclic
+from .rings import is_nilpotent, make_gf, make_zn
+from .specfile import Limits, ParsedSpec
 
-SEARCH_RING_CAP = 1024
-
-
-@dataclass
-class Instance:
-    name: str
-    kind: str
-    m: int
-    grading: Grading
-    aux: dict = field(default_factory=dict)
+#: caps for every search instance: ring size when building, the homogeneous
+#: right ideal lattice, and the per-element sweeps of the checks
+SEARCH_LIMITS = Limits(max_elements=1024, max_ideals=2000, element_check_cap=256)
 
 
 @dataclass
@@ -120,7 +108,7 @@ class _Factory:
 
     A key is (kind, ring, group, param, m).  The grading does not depend on
     m, so each shape (the key without m) is built once, and every m wraps the
-    same grading, with its ring's arithmetic tables, in its own Instance.
+    same grading, with its ring's arithmetic tables, in its own ParsedSpec.
     """
 
     def __init__(self):
@@ -145,52 +133,54 @@ class _Factory:
             self._gradings[key] = trivial_grading(self.ring(ring_tag), self.group(group_tag))
         return self._gradings[key]
 
-    def build(self, key: tuple) -> Instance | None:
+    def build(self, key: tuple) -> ParsedSpec | None:
         shape, m = key[:-1], key[-1]
         if shape not in self._shapes:
             self._shapes[shape] = self._build(shape)
         built = self._shapes[shape]
         if built is None:
             return None
-        grading, aux = built
+        grading, meta = built
         kind, ring_tag, group_tag, param = shape
         name = f"{kind}[{ring_tag},{group_tag},{param}] m={m}"
-        return Instance(name, kind, m, grading, aux)
+        return ParsedSpec(name=name, m=m, grading=grading, checks=[], expected={},
+                          ideal=meta.get("ideal"), kind=kind, meta=meta)
 
     def _build(self, shape: tuple) -> tuple[Grading, dict] | None:
         kind, ring_tag, group_tag, param = shape
+        cap = SEARCH_LIMITS.max_elements
         try:
             base = self.base(ring_tag, group_tag)
             if kind == "leaf":
                 return base, {"base": base}
             if kind == "triangular":
                 n, sigma = param
-                if base.ring.size ** (n * (n + 1) // 2) > SEARCH_RING_CAP:
+                if base.ring.size ** (n * (n + 1) // 2) > cap:
                     return None
                 gr, ideal = triangular_graded(base, n, sigma)
                 return gr, {"base": base, "ideal": ideal}
             if kind == "matrix":
                 n, sigma = param
-                if base.ring.size ** (n * n) > SEARCH_RING_CAP:
+                if base.ring.size ** (n * n) > cap:
                     return None
                 gr = matrix_graded(base, n, sigma)
                 return gr, {"base": base, "sigma": sigma}
             if kind == "diagonal_z":
                 n = param
-                if base.ring.size ** (n * n) > SEARCH_RING_CAP:
+                if base.ring.size ** (n * n) > cap:
                     return None
                 gr = diagonal_z_grading(base.ring, n)
                 return gr, {"base_ring": base.ring}
             if kind == "group_ring":
                 group = self.group(group_tag)
-                if base.ring.size**group.order > SEARCH_RING_CAP:
+                if base.ring.size**group.order > cap:
                     return None
                 gr = group_ring_graded(base, group)
                 return gr, {"base": base, "group": group}
             if kind == "product":
                 other_tag = param
                 other = self.base(other_tag, group_tag)
-                if base.ring.size * other.ring.size > SEARCH_RING_CAP:
+                if base.ring.size * other.ring.size > cap:
                     return None
                 gr = product_grading([base, other])
                 return gr, {"factors": [base, other]}
@@ -241,7 +231,8 @@ def _catalog_keys():
 
 
 # instances are immutable, so one factory serves every search in a process;
-# its gradings are shared across m and keep their rings' arithmetic tables
+# its gradings are shared across m and targets and keep their rings'
+# arithmetic tables and their memoized decisions
 _SHARED_FACTORY = _Factory()
 
 
@@ -249,9 +240,9 @@ def instance_stream(seed: int):
     """Yield instances forever: systematic catalog first, then seeded picks."""
     factory = _SHARED_FACTORY
     for key in _catalog_keys():
-        inst = factory.build(key)
-        if inst is not None:
-            yield inst
+        spec = factory.build(key)
+        if spec is not None:
+            yield spec
     rng = random.Random(seed)
     kinds = ["leaf", "triangular", "matrix", "diagonal_z", "group_ring",
              "product", "amalgamation", "quotient"]
@@ -275,208 +266,47 @@ def instance_stream(seed: int):
             group_tag = "c1"
         else:
             param = None
-        inst = factory.build((kind, ring_tag, group_tag, param, m))
-        if inst is not None:
-            yield inst
+        spec = factory.build((kind, ring_tag, group_tag, param, m))
+        if spec is not None:
+            yield spec
 
 
 # ---------------------------------------------------------------------------
 # implication targets
 
 
-def _identity_subring(grading: Grading):
-    e = grading.group.identity
-    sub, _idx, _members = subring_from_elements(grading.ring, grading.component(e))
-    return sub
+class _SearchContext(CheckContext):
+    """Witnesses print as bare elements, the form counterexample lists use."""
+
+    def fmt(self, x: int, grading=None) -> str:
+        return (grading or self.grading).ring.format_element(x)
 
 
-def _eval_re_implies_graded(inst: Instance):
-    sub = _identity_subring(inst.grading)
-    if not is_m_nil_clean_ring(sub, inst.m):
-        return None
-    ok, w = is_graded_m_nil_clean_ring(inst.grading, inst.m)
-    return ok, (inst.grading.ring.format_element(w) if w is not None else None)
-
-
-def _eval_graded_implies_re(inst: Instance):
-    ok, _ = is_graded_m_nil_clean_ring(inst.grading, inst.m)
-    if not ok:
-        return None
-    sub = _identity_subring(inst.grading)
-    return is_m_nil_clean_ring(sub, inst.m), None
-
-
-def _eval_torsion_free_nil(inst: Instance):
-    gr, m = inst.grading, inst.m
-    if not is_m_torsion_free(gr.group, m - 1):
-        return None
-    ok, _ = is_graded_m_nil_clean_ring(gr, m)
-    if not ok:
-        return None
-    e = gr.group.identity
-    for x, g in gr.homogeneous_elements():
-        if g is ZERO_DEGREE or g == e:
-            continue
-        if not is_nilpotent(gr.ring, x):
-            return False, gr.ring.format_element(x)
-    return True, None
-
-
-def _eval_m_potent_degree(inst: Instance):
-    gr, m = inst.grading, inst.m
-    group = gr.group
-    for x, g in gr.homogeneous_elements():
-        if g is ZERO_DEGREE or not is_m_potent(gr.ring, x, m):
-            continue
-        if group.power(g, m - 1) != group.identity:
-            return False, gr.ring.format_element(x)
-    return True, None
-
-
-def _eval_jg_graded_nil(inst: Instance):
-    gr, m = inst.grading, inst.m
-    if gr.ring.size > 256:
-        return None
-    ok, _ = is_graded_m_nil_clean_ring(gr, m)
-    if not ok:
-        return None
-    try:
-        jg = graded_jacobson_radical(gr, max_ideals=2000)
-    except ResourceLimitError:
-        return None
-    return is_graded_nil(gr, jg), None
-
-
-def _eval_quotient_equivalence(inst: Instance):
-    gr, m = inst.grading, inst.m
-    ideal = inst.aux.get("ideal")
-    if ideal is None or ideal.sidedness != "two-sided":
-        return None
-    if not is_unit(gr.ring, gr.ring.from_int(m - 1)):
-        return None
-    if not is_m_torsion_free(gr.group, m - 1):
-        return None
-    if not is_graded_nil(gr, ideal):
-        return None
-    lhs, _ = is_graded_m_nil_clean_ring(gr, m)
-    qgr, _ = graded_quotient(gr, ideal)
-    rhs, _ = is_graded_m_nil_clean_ring(qgr, m)
-    return lhs == rhs, f"ring: {lhs}, quotient: {rhs}"
-
-
-def _eval_triangular_equivalence(inst: Instance):
-    if inst.kind != "triangular":
-        return None
-    base, gr, m = inst.aux["base"], inst.grading, inst.m
-    if not is_unit(base.ring, base.ring.from_int(m - 1)):
-        return None
-    if not is_m_torsion_free(gr.group, m - 1):
-        return None
-    lhs, _ = is_graded_m_nil_clean_ring(base, m)
-    rhs, _ = is_graded_m_nil_clean_ring(gr, m)
-    return lhs == rhs, f"base: {lhs}, triangular: {rhs}"
-
-
-def _eval_diagonal_equivalence(inst: Instance):
-    if inst.kind != "diagonal_z":
-        return None
-    plain = is_m_nil_clean_ring(inst.aux["base_ring"], inst.m)
-    graded, _ = is_graded_m_nil_clean_ring(inst.grading, inst.m)
-    return plain == graded, f"plain base: {plain}, graded: {graded}"
-
-
-def _eval_product_equivalence(inst: Instance):
-    if inst.kind != "product":
-        return None
-    whole, _ = is_graded_m_nil_clean_ring(inst.grading, inst.m)
-    parts = all(
-        is_graded_m_nil_clean_ring(f, inst.m)[0] for f in inst.aux["factors"]
-    )
-    return whole == parts, f"product: {whole}, factors: {parts}"
-
-
-def _eval_orthogonal_sufficiency(inst: Instance):
-    gr, m = inst.grading, inst.m
-    if isinstance(gr.group, IntegerGroup):
-        return None
-    e = gr.group.identity
-    ring = gr.ring
-    for g in gr.support:
-        if g == e:
-            continue
-        comp = gr.component(g)
-        inv_comp = gr.component(gr.group.inv(g))
-        if any(ring.mul(x, y) != 0 for x in comp for y in inv_comp):
-            return None
-    sub = _identity_subring(gr)
-    if not is_m_nil_clean_ring(sub, m):
-        return None
-    ok, w = is_graded_m_nil_clean_ring(gr, m)
-    return ok, (ring.format_element(w) if w is not None else None)
-
-
-def _eval_strongly_clean_pi_regular(inst: Instance):
-    ring, m = inst.grading.ring, inst.m
-    if ring.size > 256:
-        return None
-    for x in ring.elements():
-        w = m_nil_clean_witness(ring, x, m, strong=True)
-        if w is None:
-            continue
-        try:
-            strongly_pi_regular_from_m_nil_clean(ring, w.f, w.n, m)
-        except GradedNilError:
-            return False, ring.format_element(x)
-    return True, None
-
-
-def _eval_amalgamation_equivalence(inst: Instance):
-    if inst.kind != "amalgamation":
-        return None
-    if not is_m_torsion_free(inst.grading.group, inst.m - 1):
-        return None
-    whole, _ = is_graded_m_nil_clean_ring(inst.grading, inst.m)
-    a_ok, _ = is_graded_m_nil_clean_ring(inst.aux["a"], inst.m)
-    img_ok, _ = is_graded_m_nil_clean_ring(inst.aux["image"], inst.m)
-    return whole == (a_ok and img_ok), f"amalg: {whole}, A: {a_ok}, image: {img_ok}"
-
-
-def _eval_group_ring_transfer(inst: Instance):
-    if inst.kind != "group_ring":
-        return None
-    base, group, m = inst.aux["base"], inst.aux["group"], inst.m
-    witness_p = None
-    for p in range(2, max(m, group.order) + 1):
-        if not is_prime(p) or m % p:
-            continue
-        if is_nilpotent(base.ring, base.ring.from_int(p)) and is_p_group(group, p):
-            witness_p = p
-            break
-    if witness_p is None:
-        return None
-    if not is_graded_m_nil_clean_ring(base, m)[0]:
-        return None
-    ok, w = is_graded_m_nil_clean_ring(inst.grading, m)
-    return ok, (inst.grading.ring.format_element(w) if w is not None else None)
+def _target(claim):
+    """The search's view of a claim: one instance in, (status, witness, detail) out."""
+    def run(spec: ParsedSpec):
+        return evaluate_check(claim, _SearchContext(spec, SEARCH_LIMITS))
+    return run
 
 
 #: implication targets; the two names in EXPECTED_COUNTEREXAMPLE_TARGETS are
 #: refuted by finite instances and the search is expected to find them
-TARGETS = {
-    "re_mnc_implies_graded_mnc": _eval_re_implies_graded,
-    "group_ring_transfer_p_nilpotent": _eval_group_ring_transfer,
-    "graded_mnc_implies_re_mnc": _eval_graded_implies_re,
-    "torsion_free_nonidentity_nil": _eval_torsion_free_nil,
-    "homogeneous_m_potent_degree": _eval_m_potent_degree,
-    "jg_graded_nil_when_clean": _eval_jg_graded_nil,
-    "quotient_equivalence": _eval_quotient_equivalence,
-    "triangular_equivalence": _eval_triangular_equivalence,
-    "diagonal_z_equivalence": _eval_diagonal_equivalence,
-    "product_equivalence": _eval_product_equivalence,
-    "orthogonal_components_sufficiency": _eval_orthogonal_sufficiency,
-    "strongly_clean_gives_pi_regular_decomposition": _eval_strongly_clean_pi_regular,
-    "amalgamation_equivalence": _eval_amalgamation_equivalence,
-}
+TARGETS = {name: _target(claim) for name, claim in (
+    ("re_mnc_implies_graded_mnc", check_re_mnc_implies_graded_mnc),
+    ("group_ring_transfer_p_nilpotent", CHECK_REGISTRY["group_ring_clean_transfer"]),
+    ("graded_mnc_implies_re_mnc", CHECK_REGISTRY["identity_component_m_nil_clean"]),
+    ("torsion_free_nonidentity_nil", CHECK_REGISTRY["nonidentity_components_nil"]),
+    ("homogeneous_m_potent_degree", CHECK_REGISTRY["homogeneous_m_potent_degree"]),
+    ("jg_graded_nil_when_clean", CHECK_REGISTRY["jg_graded_nil"]),
+    ("quotient_equivalence", CHECK_REGISTRY["quotient_equivalence"]),
+    ("triangular_equivalence", CHECK_REGISTRY["triangular_equivalence"]),
+    ("diagonal_z_equivalence", CHECK_REGISTRY["diagonal_z_equivalence"]),
+    ("product_equivalence", CHECK_REGISTRY["product_factors_equivalence"]),
+    ("orthogonal_components_sufficiency", CHECK_REGISTRY["orthogonal_components_sufficiency"]),
+    ("strongly_clean_gives_pi_regular_decomposition",
+     CHECK_REGISTRY["strongly_pi_regular_construction"]),
+    ("amalgamation_equivalence", CHECK_REGISTRY["amalgamation_equivalence"]),
+)}
 
 EXPECTED_COUNTEREXAMPLE_TARGETS = (
     "re_mnc_implies_graded_mnc",
@@ -499,16 +329,14 @@ def counterexample_search(target: str, budget: int, seed: int = 0,
     counterexamples = []
     stream = instance_stream(seed)
     while tested < budget:
-        inst = next(stream)
+        spec = next(stream)
         tested += 1
-        result = evaluate(inst)
-        if result is None:
+        status, witness, detail = evaluate(spec)
+        if status in ("vacuous", "skipped-resource"):
             continue
         hits += 1
-        holds, note = result
-        if not holds:
-            desc = inst.name + (f" [{note}]" if note else "")
-            counterexamples.append(desc)
+        if status == "falsified":
+            counterexamples.append(f"{spec.name} [{witness or detail}]")
             if stop_at_first or len(counterexamples) >= 5:
                 break
     return SearchReport(

@@ -296,12 +296,33 @@ def test_factory_shares_one_grading_across_m():
     assert len({id(inst.grading) for inst in insts}) == 1
     assert [inst.m for inst in insts] == [2, 3, 5]
     assert [inst.name.rsplit(" ", 1)[1] for inst in insts] == ["m=2", "m=3", "m=5"]
-    assert insts[0].aux["ideal"] is insts[2].aux["ideal"]
+    assert insts[0].ideal is insts[2].ideal
     assert shapes == [shape]
     # over the search's ring cap, and a quotient by a non-nilpotent generator
     for none_shape in (("matrix", "z6", "c2", (3, (0, 0, 0))), ("quotient", "z3", "c1", 1)):
         assert all(factory.build(none_shape + (m,)) is None for m in (2, 3, 4))
     assert len(shapes) == 3
+
+
+def test_search_target_runs_the_registered_check():
+    """One definition: the corpus check and the search target agree on the
+    deliberate group-ring finding, each in its own witness format."""
+    parsed = parse_ring_spec(corpus_document("group-ring-z4-c2"))
+    (report,) = run_checks(parsed, checks=["group_ring_clean_transfer"])
+    assert (report.status, report.witness) == ("falsified", "1*g1 (degree 1)")
+    status, witness, detail = TARGETS["group_ring_transfer_p_nilpotent"](parsed)
+    assert status == "falsified"
+    assert (witness or detail) == "1*g1"
+
+
+def test_search_target_returns_a_miss_over_the_element_cap():
+    from gradednil.search import SEARCH_LIMITS, _Factory
+
+    spec = _Factory().build(("matrix", "z2", "c2", (3, (0, 0, 0)), 2))
+    assert spec.grading.ring.size == 512 > SEARCH_LIMITS.element_check_cap
+    status, _witness, detail = TARGETS["strongly_clean_gives_pi_regular_decomposition"](spec)
+    assert status == "skipped-resource"
+    assert "limit 256" in detail
 
 
 def test_target_partition():
@@ -369,6 +390,19 @@ def test_cli_corpus_single_entry(capsys):
     assert main(["corpus", "--only", "z4-trivial"]) == 0
     out = capsys.readouterr().out
     assert "entry z4-trivial" in out
+
+
+def test_cli_report_is_the_corpus_verb(capsys):
+    def run(verb):
+        code = main([verb, "--only", "zero-ring", "--format", "machine"])
+        payload = json.loads(capsys.readouterr().out)
+        for record in payload["records"]:
+            del record["seconds"]
+        return code, payload
+
+    report = run("report")
+    assert report == run("corpus")
+    assert report[1]["records"]
 
 
 def test_cli_entry_point_runs():

@@ -261,15 +261,27 @@ class _Parser:
                       {"kind", "size", "add", "mul", "one"}, path)
         size = _int(doc, "size", path, minimum=1)
         add, mul = doc["add"], doc["mul"]
+        # entries are checked before any law: a negative index would wrap
         for name, table in (("add", add), ("mul", mul)):
-            if len(table) != size or any(len(row) != size for row in table):
+            if (not isinstance(table, list) or len(table) != size
+                    or any(not isinstance(row, list) or len(row) != size for row in table)):
                 raise SpecError(f"{name} table must be {size}x{size}", path)
+            for i, row in enumerate(table):
+                for j, v in enumerate(row):
+                    if type(v) is not int or not 0 <= v < size:
+                        raise SpecError(
+                            f"{name} table entry ({i}, {j}) is {v!r}, "
+                            f"not an element index below {size}",
+                            path,
+                        )
         one = _int(doc, "one", path, minimum=0)
+        if one >= size:
+            raise SpecError(f"field 'one' is {one}, not an element index below {size}", path)
         try:
             ring = TableRing([list(r) for r in add], [list(r) for r in mul], one=one,
                              label=f"table{size}")
         except ValidationError as exc:
-            raise SpecError(f"ring axioms failed: {exc}", path) from exc
+            raise SpecError(f"ring axioms failed: {exc}, witness {exc.witness}", path) from exc
         grading, norm_grading = self.parse_leaf_grading(ring, doc.get("grading"), f"{path}.grading")
         norm = {"kind": "table", "size": size, "add": [list(r) for r in add],
                 "mul": [list(r) for r in mul], "one": one, "grading": norm_grading}

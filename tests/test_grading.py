@@ -67,6 +67,22 @@ def test_grading_failures_carry_witnesses():
     assert err.value.witness is not None
 
 
+def test_multiplicativity_failure_above_the_table_cap_has_a_witness():
+    """Multiplicativity is checked on component generators at any size."""
+    from gradednil.constructions import MatrixRing
+
+    ring = MatrixRing(make_zn(5), 2)  # 625 elements: no memo tables
+    unit = {pos: ring.encode_entries({pos: 1}) for pos in ring.positions}
+    # upper triangular in degree 0, E21 in degree 1: a direct sum holding 1,
+    # but E12 * E21 = E11 leaves degree 1
+    components = {0: [unit[0, 0], unit[1, 1], unit[0, 1]], 1: [unit[1, 0]]}
+    with pytest.raises(ValidationError) as err:
+        verify_grading(ring, C2, components)
+    assert err.value.witness == ("multiplicativity", unit[0, 1], unit[1, 0], 0, 1)
+    assert ring.mul(unit[0, 1], unit[1, 0]) == unit[0, 0]
+    assert ring._mul_table is None
+
+
 def test_degree_of_and_decompose(t2_gf3):
     grading, _ = t2_gf3
     ring = grading.ring

@@ -90,6 +90,88 @@ def test_parse_errors_carry_context(bad, fragment):
     assert fragment in str(err.value)
 
 
+def _table_doc(moduli):
+    """A `table` document of Z_m1 x Z_m2 x ... in mixed radix, first factor
+    least significant."""
+    size = 1
+    for q in moduli:
+        size *= q
+
+    def digits(x):
+        out = []
+        for q in moduli:
+            x, r = divmod(x, q)
+            out.append(r)
+        return out
+
+    def undigits(ds):
+        x = 0
+        for q, d in zip(reversed(moduli), reversed(ds)):
+            x = x * q + d
+        return x
+
+    elems = [digits(x) for x in range(size)]
+    add = [[undigits([(a + b) % q for a, b, q in zip(dx, dy, moduli)]) for dy in elems]
+           for dx in elems]
+    mul = [[undigits([(a * b) % q for a, b, q in zip(dx, dy, moduli)]) for dy in elems]
+           for dx in elems]
+    ring = {"kind": "table", "size": size, "add": add, "mul": mul,
+            "one": undigits([1 % q for q in moduli])}
+    return {"m": 2, "ring": ring, "checks": ["graded_m_nil_clean"]}
+
+
+@pytest.mark.parametrize("moduli", [(66,), (4, 40)])
+def test_large_table_documents_are_law_checked(moduli):
+    """No size cap: tables above 64 elements get every law checked."""
+    good = _table_doc(moduli)
+    assert parse_ring_spec(doc(good)).grading.ring.size == len(good["ring"]["add"])
+    broken_mul = _table_doc(moduli)
+    broken_mul["ring"]["mul"][2][3] = broken_mul["ring"]["mul"][2][4]
+    with pytest.raises(SpecError) as err:
+        parse_ring_spec(doc(broken_mul))
+    assert "distributivity fails" in str(err.value)
+    broken_add = _table_doc(moduli)
+    add = broken_add["ring"]["add"]
+    add[2][3] = add[3][2] = add[2][4]
+    with pytest.raises(SpecError) as err:
+        parse_ring_spec(doc(broken_add))
+    assert "addition is not associative" in str(err.value)
+    assert "addassoc" in str(err.value)
+
+
+@pytest.mark.parametrize("table,row,col,value", [
+    ("mul", 2, 3, -1),     # would wrap to the last element
+    ("mul", 5, 0, 66),
+    ("add", 1, 1, 2.0),
+    ("add", 0, 7, True),
+    ("mul", 9, 4, "3"),
+])
+def test_table_entries_are_checked_before_the_laws(table, row, col, value):
+    bad = _table_doc((66,))
+    bad["ring"][table][row][col] = value
+    with pytest.raises(SpecError) as err:
+        parse_ring_spec(doc(bad))
+    assert f"{table} table entry ({row}, {col}) is {value!r}" in str(err.value)
+    assert str(err.value).startswith("ring: ")
+
+
+@pytest.mark.parametrize("one", [66, 100])
+def test_table_identity_must_be_an_element(one):
+    bad = _table_doc((66,))
+    bad["ring"]["one"] = one
+    with pytest.raises(SpecError) as err:
+        parse_ring_spec(doc(bad))
+    assert f"field 'one' is {one}" in str(err.value)
+
+
+def test_table_rows_must_be_lists():
+    bad = _table_doc((2, 2))
+    bad["ring"]["add"][1] = 7
+    with pytest.raises(SpecError) as err:
+        parse_ring_spec(doc(bad))
+    assert "add table must be 4x4" in str(err.value)
+
+
 def test_parse_error_is_json_position_aware():
     with pytest.raises(SpecError) as err:
         parse_ring_spec("{\n  'bad': }")

@@ -16,6 +16,7 @@ from .rings import (
     additive_span,
     is_m_potent,
     is_nilpotent,
+    power_orbit,
     quotient_ring,
 )
 
@@ -95,23 +96,11 @@ class Grading:
         return out
 
     def homogeneous_unit_inverse(self, u: int) -> int | None:
-        """Inverse of a homogeneous unit, or None.
-
-        The inverse of a homogeneous unit of degree g is homogeneous of
-        degree g^-1, so only that component needs scanning.
-        """
-        ring = self.ring
-        if u == 0:
-            return 0 if ring.size == 1 else None
-        deg = self.degree_of(u)
-        if deg is NOT_HOMOGENEOUS:
+        """Inverse of a homogeneous unit, or None; of degree g^-1 when u has
+        degree g."""
+        if not self.is_homogeneous(u):
             raise ValidationError("element is not homogeneous", ("unit", u))
-        inv_deg = self.group.inv(deg)
-        one = ring.one
-        for y in self.component(inv_deg):
-            if ring.mul(u, y) == one and ring.mul(y, u) == one:
-                return y
-        return None
+        return power_orbit(self.ring, u)[1]
 
     def __repr__(self) -> str:
         return f"Grading({self.ring.label} over {self.group.name}, support={sorted(self.support)})"

@@ -8,10 +8,20 @@ Both expose the same duck-typed surface: ``identity``, ``op``, ``inv``,
 
 from .errors import ValidationError
 
-# Exhaustive associativity checking is cubic; beyond this order we trust the
-# structured constructors (cyclic / direct product), which are associative by
-# construction.
-ASSOCIATIVITY_CAP = 64
+
+def _generators(table: list[list[int]]) -> list[int]:
+    """Each index, in order, outside the closure of 0 and the indices kept
+    before it under the table's product; the kept indices generate the table
+    without associativity, and a group keeps at most log2 of its order."""
+    closure, kept = {0}, []
+    for g in range(len(table)):
+        if g not in closure:
+            kept.append(g)
+            new = {g}
+            while new:
+                closure |= new
+                new = {table[x][y] for x in closure for y in closure} - closure
+    return kept
 
 
 class FiniteGroup:
@@ -36,16 +46,15 @@ class FiniteGroup:
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
                 raise ValidationError("index 0 is not an identity", ("identity", i))
-        if n <= ASSOCIATIVITY_CAP:
-            t = self.table
-            for i in range(n):
-                for j in range(n):
-                    tij = t[i][j]
-                    for k in range(n):
-                        if t[tij][k] != t[i][t[j][k]]:
-                            raise ValidationError(
-                                "group table is not associative", ("assoc", i, j, k)
-                            )
+        # Light's test: the elements s with (a*s)*c = a*(s*c) for all a, c
+        # are closed under the product, so checking a generating set is exact
+        t = self.table
+        for s in _generators(t):
+            for a in range(n):
+                got, want = t[t[a][s]], [t[a][y] for y in t[s]]
+                if got != want:
+                    c = next(c for c in range(n) if got[c] != want[c])
+                    raise ValidationError("group table is not associative", ("assoc", a, s, c))
 
     def _find_inverse(self, i: int) -> int:
         for j in range(self.order):

@@ -12,6 +12,10 @@ A ring given by raw tables passes :func:`check_ring_axioms`, which decides
 every ring law exactly at any size: the laws with three arguments are
 checked with one argument running over a generating set of the additive
 group (at most log2 of the size), not over every triple.
+
+Nilpotency and inverses come from one memoized walk of each element's powers
+(:func:`power_orbit`); m-potency is computed from :meth:`FiniteRing.power`
+alone, so certificates that assert it are checked independently of the walk.
 """
 
 from array import array
@@ -472,23 +476,31 @@ def make_gf(p: int, k: int = 1, max_size: int = 65536) -> TableRing:
 # element classification
 
 
+def power_orbit(ring: FiniteRing, x: int) -> tuple[int | None, int | None]:
+    """(nilpotency index, inverse) of x, each None when x has none.
+
+    One walk of x, x^2, x^3, ... stops at 0, at 1 or at the first repeated
+    power; past any of them the powers only repeat.  x^k = 0 first at k
+    gives the index k.  x^a = 1 makes x a unit with the two-sided inverse
+    x^(a-1), and inverses are unique.  Memoized per ring and element.
+    """
+    orbits = ring._memo.setdefault("orbits", {})
+    found = orbits.get(x)
+    if found is None:
+        one = ring.one
+        seen = set()
+        prev, p, k = one, x, 1
+        while p != 0 and p != one and p not in seen:
+            seen.add(p)
+            prev, p = p, ring.mul(p, x)
+            k += 1
+        found = orbits[x] = (k if p == 0 else None, prev if p == one else None)
+    return found
+
+
 def nilpotency_index(ring: FiniteRing, x: int) -> int | None:
-    """Least k >= 1 with x^k = 0, or None; iterates powers with a seen-set."""
-    memo = ring._memo.setdefault("nilidx", {})
-    if x in memo:
-        return memo[x]
-    seen = set()
-    p = x
-    k = 1
-    while p not in seen:
-        if p == 0:
-            memo[x] = k
-            return k
-        seen.add(p)
-        p = ring.mul(p, x)
-        k += 1
-    memo[x] = None
-    return None
+    """Least k >= 1 with x^k = 0, or None."""
+    return power_orbit(ring, x)[0]
 
 
 def is_nilpotent(ring: FiniteRing, x: int) -> bool:
@@ -516,21 +528,8 @@ def idempotents(ring: FiniteRing) -> list[int]:
 
 
 def inverse_of(ring: FiniteRing, x: int) -> int | None:
-    """Two-sided inverse of x, or None.
-
-    Both sides are checked even though finite rings are Dedekind-finite.
-    """
-    memo = ring._memo.setdefault("inv", {})
-    if x in memo:
-        return memo[x]
-    found = None
-    one = ring.one
-    for y in ring.elements():
-        if ring.mul(x, y) == one and ring.mul(y, x) == one:
-            found = y
-            break
-    memo[x] = found
-    return found
+    """Two-sided inverse of x, or None."""
+    return power_orbit(ring, x)[1]
 
 
 def is_unit(ring: FiniteRing, x: int) -> bool:
@@ -538,18 +537,8 @@ def is_unit(ring: FiniteRing, x: int) -> bool:
 
 
 def unit_map(ring: FiniteRing) -> dict[int, int]:
-    """All units with their inverses, computed in one quadratic sweep."""
-    units = ring._memo.get("unitmap")
-    if units is None:
-        units = {}
-        one = ring.one
-        for a in ring.elements():
-            for b in ring.elements():
-                if ring.mul(a, b) == one and ring.mul(b, a) == one:
-                    units[a] = b
-                    break
-        ring._memo["unitmap"] = units
-    return units
+    """All units with their inverses, by ascending unit."""
+    return {x: inv for x in ring.elements() if (inv := power_orbit(ring, x)[1]) is not None}
 
 
 def is_nil_set(ring: FiniteRing, elems) -> bool:
@@ -743,8 +732,7 @@ class ElementClass:
 
 
 def classify_element(ring: FiniteRing, x: int, ms=()) -> ElementClass:
-    idx = nilpotency_index(ring, x)
-    inv = inverse_of(ring, x)
+    idx, inv = power_orbit(ring, x)
     return ElementClass(
         element=x,
         is_nilpotent=idx is not None,

@@ -413,8 +413,14 @@ class _Parser:
             norm_f = "identity"
         elif isinstance(fdoc, dict):
             _require_keys(fdoc, {"map"}, {"map"}, f"{path}.f")
-            fmap = list(fdoc["map"])
-            norm_f = {"map": fmap}
+            fmap, size_b = fdoc["map"], b.ring.size
+            if not isinstance(fmap, list) or len(fmap) != a.ring.size:
+                raise SpecError(f"map must be a list of {a.ring.size} entries", f"{path}.f")
+            for i, v in enumerate(fmap):
+                if type(v) is not int or not 0 <= v < size_b:
+                    raise SpecError(f"map entry {i} is {v!r}, not an index below {size_b}",
+                                    f"{path}.f")
+            norm_f = {"map": list(fmap)}
         else:
             raise SpecError("f must be 'identity' or {'map': [...]}", path)
         ideal, norm_ideal = self.parse_ideal(b, doc["ideal"], f"{path}.ideal")

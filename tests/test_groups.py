@@ -124,3 +124,22 @@ def test_bad_table_rejected():
     # non-associative magma on 3 elements
     with pytest.raises(ValidationError):
         FiniteGroup([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
+
+
+@pytest.mark.parametrize("n", [6, 66])
+def test_associativity_is_checked_at_every_order(n):
+    """A cyclic table with two entries of one row swapped is not associative."""
+    table = make_cyclic(n).table
+    table[2][3], table[2][4] = table[2][4], table[2][3]
+    with pytest.raises(ValidationError) as err:
+        FiniteGroup(table)
+    assert err.value.witness[0] == "assoc"
+    _, a, b, c = err.value.witness
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_large_products_pass_the_associativity_check():
+    c2 = make_cyclic(2)
+    group = direct_product(direct_product(c2, make_cyclic(5)), make_cyclic(9))
+    assert group.order == 90
+    assert FiniteGroup(group.table).order == 90

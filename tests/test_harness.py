@@ -172,6 +172,35 @@ def test_table_rows_must_be_lists():
     assert "add table must be 4x4" in str(err.value)
 
 
+def _amalgamation_doc(fmap):
+    z4 = {"kind": "zn", "n": 4}
+    return {"m": 2, "ring": {"kind": "amalgamation", "a": z4, "b": z4, "f": {"map": fmap},
+                             "ideal": {"generators": [2]}}}
+
+
+@pytest.mark.parametrize("fmap,fragment", [
+    ([0, 1, 2, 7], "map entry 3 is 7"),
+    ([0, 1, 2.0, 3], "map entry 2 is 2.0"),
+    ([0, True, 2, 3], "map entry 1 is True"),
+    ([0, 1, 2, -1], "map entry 3 is -1"),
+    ([0, 1, 2], "map must be a list of 4 entries"),
+    ("0123", "map must be a list of 4 entries"),
+])
+def test_amalgamation_map_entries_are_checked(fmap, fragment, tmp_path):
+    with pytest.raises(SpecError) as err:
+        parse_ring_spec(doc(_amalgamation_doc(fmap)))
+    assert fragment in str(err.value)
+    assert str(err.value).startswith("ring.f: ")
+    spec = tmp_path / "bad.json"
+    spec.write_text(doc(_amalgamation_doc(fmap)))
+    assert main(["check", str(spec)]) == 2
+
+
+def test_amalgamation_identity_map_document_parses():
+    parsed = parse_ring_spec(doc(_amalgamation_doc([0, 1, 2, 3])))
+    assert parsed.grading.ring.size == 8
+
+
 def test_parse_error_is_json_position_aware():
     with pytest.raises(SpecError) as err:
         parse_ring_spec("{\n  'bad': }")

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from gradednil.corpus import corpus_documents
 from gradednil.errors import ValidationError
+from gradednil.grading import trivial_grading
 from gradednil.rings import (
     TableRing,
     additive_closure,
@@ -24,7 +26,10 @@ from gradednil.rings import (
     product_ring,
     quotient_ring,
     subring_from_elements,
+    unit_map,
 )
+from gradednil.search import _catalog_keys, _Factory
+from gradednil.specfile import parse_ring_spec
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -49,6 +54,22 @@ def brute_power(ring, x, m):
 def brute_inverse(ring, x):
     for y in ring.elements():
         if ring.mul(x, y) == ring.one and ring.mul(y, x) == ring.one:
+            return y
+    return None
+
+
+def brute_unit_map(ring):
+    """Pair sweep: each unit, ascending, with the first y that inverts it."""
+    return {a: b for a in ring.elements() if (b := brute_inverse(ring, a)) is not None}
+
+
+def brute_homogeneous_inverse(grading, u):
+    """Scan the component of degree g^-1 for the inverse of u of degree g."""
+    ring = grading.ring
+    if u == 0:
+        return brute_inverse(ring, 0)
+    for y in sorted(grading.component(grading.group.inv(grading.degree_of(u)))):
+        if ring.mul(u, y) == ring.one and ring.mul(y, u) == ring.one:
             return y
     return None
 
@@ -199,6 +220,9 @@ def test_zero_ring():
     assert z1.size == 1 and z1.one == 0
     assert nilpotency_index(z1, 0) == 1
     assert is_unit(z1, 0)
+    assert inverse_of(z1, 0) == 0
+    assert unit_map(z1) == {0: 0}
+    assert trivial_grading(z1).homogeneous_unit_inverse(0) == 0
 
 
 def test_zn_arithmetic():
@@ -275,6 +299,46 @@ def test_m_potent_examples():
 def test_units_match_brute_force(ring):
     for x in ring.elements():
         assert inverse_of(ring, x) == brute_inverse(ring, x)
+    assert list(unit_map(ring).items()) == list(brute_unit_map(ring).items())
+
+
+def _structured_cases(source):
+    """(label, ring, grading or None) for each ring of at most 256 elements:
+    the ring and the identity subring of each corpus entry of that size, or
+    each ring the search catalog builds at m = 2."""
+    if source == "corpus":
+        for name, text in corpus_documents():
+            grading = parse_ring_spec(text).grading
+            if grading.ring.size > 256:
+                continue
+            yield name, grading.ring, grading
+            identity = grading.component(grading.group.identity)
+            yield f"{name}_e", subring_from_elements(grading.ring, identity)[0], None
+    else:
+        factory = _Factory()
+        for key in _catalog_keys():
+            spec = factory.build(key) if key[-1] == 2 else None
+            if spec is not None and spec.grading.ring.size <= 256:
+                yield spec.name, spec.grading.ring, spec.grading
+
+
+@pytest.mark.parametrize("source", ["corpus", "search"])
+def test_power_orbit_matches_scans_on_structured_rings(source):
+    """Nilpotency and inverses from the power walk agree with the scans, on
+    table and structured rings alike."""
+    tested = 0
+    for label, ring, grading in _structured_cases(source):
+        tested += 1
+        units = brute_unit_map(ring)
+        for x in ring.elements():
+            assert nilpotency_index(ring, x) == brute_nilpotency_index(ring, x), (label, x)
+            assert inverse_of(ring, x) == units.get(x), (label, x)
+        assert list(unit_map(ring).items()) == list(units.items()), label
+        if grading is not None:
+            for u, _ in grading.homogeneous_elements():
+                assert grading.homogeneous_unit_inverse(u) == brute_homogeneous_inverse(
+                    grading, u), (label, u)
+    assert tested >= 40
 
 
 def test_unit_examples():

@@ -10,7 +10,7 @@ Verbs:
 
 Exit codes: 0 all checks passed (or failed exactly as their fixtures
 predict), 1 a claim was falsified, 2 a document failed to parse, 3 a
-resource cap cut a check short.
+resource cap cut a check short or stopped a ring being built.
 """
 
 import argparse
@@ -19,7 +19,7 @@ import sys
 
 from .checks import CheckReport, exit_code, run_checks
 from .corpus import corpus_documents
-from .errors import GradedNilError, SpecError
+from .errors import GradedNilError, ResourceLimitError, SpecError
 from .grading import graded_jacobson_radical
 from .rings import jacobson_radical
 from .search import TARGETS, counterexample_search
@@ -71,9 +71,9 @@ def _cmd_check(args) -> int:
     try:
         text = open(args.file).read()
         parsed = parse_ring_spec(text, limits=_limits(args))
-    except (OSError, SpecError) as exc:
+    except (OSError, SpecError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ResourceLimitError) else 2
     reports = run_checks(parsed, limits=_limits(args))
     sys.stdout.write(emit_report([(parsed.name, reports)], fmt=args.format))
     if args.emit_spec:
@@ -95,9 +95,9 @@ def _run_corpus(args, only: str | None = None):
 def _cmd_corpus(args) -> int:
     try:
         entry_reports = _run_corpus(args, only=args.only)
-    except SpecError as exc:
+    except (SpecError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ResourceLimitError) else 2
     if args.only and not entry_reports:
         print(f"error: no corpus entry named {args.only!r}", file=sys.stderr)
         return 2
@@ -109,9 +109,9 @@ def _cmd_radical(args) -> int:
     try:
         text = open(args.file).read()
         parsed = parse_ring_spec(text, limits=_limits(args))
-    except (OSError, SpecError) as exc:
+    except (OSError, SpecError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ResourceLimitError) else 2
     try:
         gr = parsed.grading
         if args.graded:

@@ -3,14 +3,17 @@
 A target names a claim: a check from ``checks.CHECK_REGISTRY``, or the one
 claim finite instances refute (``re_mnc_implies_graded_mnc``).  The search
 draws instances (a systematic sweep of the catalog first, then seeded random
-recombinations) as ``ParsedSpec`` records, runs the claim on each through the
-evaluator ``run_checks`` uses, and reports every instance where it is
-falsified.  An instance meets the hypothesis when the claim is neither vacuous
-nor cut short by a cap of ``SEARCH_LIMITS``.  Reports are never vacuous: they
-carry the number of instances that met the hypothesis alongside the
-counterexamples or the exhausted budget.
+recombinations), runs the claim on each through the evaluator ``run_checks``
+uses, and reports every instance where it is falsified.  Each instance is a
+ring description document parsed by ``specfile.parse_ring_spec`` under
+``SEARCH_LIMITS``, so ``emit_ring_spec(instance)`` prints a document that
+``gradednil check`` re-runs.  An instance meets the hypothesis when the
+claim is neither vacuous nor cut short by a cap of ``SEARCH_LIMITS``.  Reports
+are never vacuous: they carry the number of instances that met the hypothesis
+alongside the counterexamples or the exhausted budget.
 """
 
+import json
 import random
 import time
 from dataclasses import dataclass
@@ -21,26 +24,9 @@ from .checks import (
     check_re_mnc_implies_graded_mnc,
     evaluate_check,
 )
-from .constructions import (
-    AmalgamationSpec,
-    amalgamation,
-    diagonal_z_grading,
-    group_ring_graded,
-    image_subring_grading,
-    matrix_graded,
-    product_grading,
-    triangular_graded,
-)
-from .errors import GradedNilError
-from .grading import (
-    Grading,
-    graded_quotient,
-    homogeneous_two_sided_ideal_closure,
-    trivial_grading,
-)
-from .groups import make_cyclic
-from .rings import is_nilpotent, make_gf, make_zn
-from .specfile import Limits, ParsedSpec
+from .errors import ResourceLimitError
+from .rings import is_nilpotent
+from .specfile import Limits, ParsedSpec, parse_ring_spec
 
 #: caps for every search instance: ring size when building, the homogeneous
 #: right ideal lattice, and the per-element sweeps of the checks
@@ -103,110 +89,82 @@ _GROUPS = ["c1", "c2", "c3"]
 _MS = [2, 3, 4, 5]
 
 
-class _Factory:
-    """Builds instances from small structured families.
+def _size(ring_tag: str) -> int:
+    return 4 if ring_tag == "gf4" else int(ring_tag[1:])
 
-    A key is (kind, ring, group, param, m).  The grading does not depend on
-    m, so each shape (the key without m) is built once, and every m wraps the
-    same grading, with its ring's arithmetic tables, in its own ParsedSpec.
-    """
 
-    def __init__(self):
-        self._rings = {}
-        self._groups = {}
-        self._gradings = {}
-        self._shapes = {}
+def _base_document(ring_tag: str, group_tag: str) -> dict:
+    """A catalog base ring, trivially graded by the cyclic group of the tag."""
+    if ring_tag == "gf4":
+        ring = {"kind": "gf", "p": 2, "k": 2}
+    else:
+        ring = {"kind": "zn", "n": _size(ring_tag)}
+    grading = {"group": {"kind": "cyclic", "n": int(group_tag[1:])}, "trivial": True}
+    return {**ring, "grading": grading}
 
-    def group(self, tag: str):
-        if tag not in self._groups:
-            self._groups[tag] = make_cyclic(int(tag[1:]))
-        return self._groups[tag]
 
-    def ring(self, tag: str):
-        if tag not in self._rings:
-            self._rings[tag] = make_gf(2, 2) if tag == "gf4" else make_zn(int(tag[1:]))
-        return self._rings[tag]
+def _shape_document(shape: tuple) -> dict:
+    """The ring description document of a shape (kind, ring, group, param);
+    its m is a placeholder that each instance replaces."""
+    kind, ring_tag, group_tag, param = shape
+    base = _base_document(ring_tag, group_tag)
+    doc = {"m": 2, "ring": base}
+    if kind in ("triangular", "matrix"):
+        n, sigma = param
+        doc["ring"] = {"kind": kind, "base": base, "n": n, "sigma": list(sigma)}
+        if kind == "triangular":
+            doc["ideal"] = {"zero_diagonal": True}
+    elif kind == "diagonal_z":
+        doc["ring"] = {"kind": kind, "base": base, "n": param}
+    elif kind == "group_ring":
+        doc["ring"] = {"kind": kind, "base": base, "mode": "standard",
+                       "group": {"kind": "cyclic", "n": int(group_tag[1:])}}
+    elif kind == "product":
+        doc["ring"] = {"kind": kind, "factors": [base, _base_document(param, group_tag)]}
+    elif kind == "amalgamation":
+        ideal = {"all": True} if param == "all" else {"generators": [param % _size(ring_tag)]}
+        doc["ring"] = {"kind": kind, "a": base, "b": base, "ideal": ideal}
+    elif kind == "quotient":
+        doc["ring"] = {"kind": kind, "base": base,
+                       "ideal": {"generators": [param % _size(ring_tag)]}}
+    return doc
 
-    def base(self, ring_tag: str, group_tag: str) -> Grading:
-        key = (ring_tag, group_tag)
-        if key not in self._gradings:
-            self._gradings[key] = trivial_grading(self.ring(ring_tag), self.group(group_tag))
-        return self._gradings[key]
 
-    def build(self, key: tuple) -> ParsedSpec | None:
-        shape, m = key[:-1], key[-1]
-        if shape not in self._shapes:
-            self._shapes[shape] = self._build(shape)
-        built = self._shapes[shape]
-        if built is None:
-            return None
-        grading, meta = built
-        kind, ring_tag, group_tag, param = shape
-        name = f"{kind}[{ring_tag},{group_tag},{param}] m={m}"
-        return ParsedSpec(name=name, m=m, grading=grading, checks=[], expected={},
-                          ideal=meta.get("ideal"), kind=kind, meta=meta)
-
-    def _build(self, shape: tuple) -> tuple[Grading, dict] | None:
-        kind, ring_tag, group_tag, param = shape
-        cap = SEARCH_LIMITS.max_elements
-        try:
-            base = self.base(ring_tag, group_tag)
-            if kind == "leaf":
-                return base, {"base": base}
-            if kind == "triangular":
-                n, sigma = param
-                if base.ring.size ** (n * (n + 1) // 2) > cap:
-                    return None
-                gr, ideal = triangular_graded(base, n, sigma)
-                return gr, {"base": base, "ideal": ideal}
-            if kind == "matrix":
-                n, sigma = param
-                if base.ring.size ** (n * n) > cap:
-                    return None
-                gr = matrix_graded(base, n, sigma)
-                return gr, {"base": base, "sigma": sigma}
-            if kind == "diagonal_z":
-                n = param
-                if base.ring.size ** (n * n) > cap:
-                    return None
-                gr = diagonal_z_grading(base.ring, n)
-                return gr, {"base_ring": base.ring}
-            if kind == "group_ring":
-                group = self.group(group_tag)
-                if base.ring.size**group.order > cap:
-                    return None
-                gr = group_ring_graded(base, group)
-                return gr, {"base": base, "group": group}
-            if kind == "product":
-                other_tag = param
-                other = self.base(other_tag, group_tag)
-                if base.ring.size * other.ring.size > cap:
-                    return None
-                gr = product_grading([base, other])
-                return gr, {"factors": [base, other]}
-            if kind == "amalgamation":
-                if not base.ring.is_commutative():
-                    return None
-                gen = param
-                if gen == "all":
-                    gens = [x for x, d in base.homogeneous_elements() if x != 0]
-                else:
-                    gens = [gen % base.ring.size]
-                ideal = homogeneous_two_sided_ideal_closure(base, gens)
-                spec = AmalgamationSpec(base, base, list(range(base.ring.size)), ideal)
-                gr = amalgamation(spec)
-                image = image_subring_grading(spec)
-                return gr, {"a": base, "image": image, "spec": spec}
-            if kind == "quotient":
-                gen = param % base.ring.size
-                if not base.is_homogeneous(gen) or not is_nilpotent(base.ring, gen):
-                    return None
-                ideal = homogeneous_two_sided_ideal_closure(base, [gen])
-                gr, _ = graded_quotient(base, ideal)
-                return gr, {"base": base, "parent_ideal": ideal}
-        except (GradedNilError, KeyError):
-            return None
+def _parse_shape(shape: tuple) -> ParsedSpec | None:
+    """The parsed shape, or None over the element cap or for a quotient by
+    a generator that is not nilpotent."""
+    try:
+        parsed = parse_ring_spec(json.dumps(_shape_document(shape)), SEARCH_LIMITS)
+    except ResourceLimitError:
         return None
+    if shape[0] == "quotient" and not is_nilpotent(
+            parsed.meta["base"].ring, shape[3] % _size(shape[1])):
+        return None
+    return parsed
+
+
+# instances are immutable, so one cache serves every search in a process; a
+# shape's grading does not depend on m, so it is parsed once and shared across
+# m and targets with its rings' arithmetic tables and memoized decisions
+_SHAPES: dict = {}
+
+
+def _instance(key: tuple) -> ParsedSpec | None:
+    """The instance of a key (kind, ring, group, param, m), or None when the
+    family rejects its shape; ``emit_ring_spec`` prints its document."""
+    shape, m = key[:-1], key[-1]
+    if shape not in _SHAPES:
+        _SHAPES[shape] = _parse_shape(shape)
+    parsed = _SHAPES[shape]
+    if parsed is None:
+        return None
+    kind, ring_tag, group_tag, param = shape
+    name = f"{kind}[{ring_tag},{group_tag},{param}] m={m}"
+    # every pull of the stream builds one: dataclasses.replace would cost
+    # more than the rest of the pull together
+    return ParsedSpec(name=name, m=m, grading=parsed.grading, checks=parsed.checks,
+                      expected=parsed.expected, ideal=parsed.ideal, kind=parsed.kind,
+                      meta=parsed.meta, normalized=parsed.normalized)
 
 
 def _catalog_keys():
@@ -230,17 +188,10 @@ def _catalog_keys():
     return keys
 
 
-# instances are immutable, so one factory serves every search in a process;
-# its gradings are shared across m and targets and keep their rings'
-# arithmetic tables and their memoized decisions
-_SHARED_FACTORY = _Factory()
-
-
 def instance_stream(seed: int):
     """Yield instances forever: systematic catalog first, then seeded picks."""
-    factory = _SHARED_FACTORY
     for key in _catalog_keys():
-        spec = factory.build(key)
+        spec = _instance(key)
         if spec is not None:
             yield spec
     rng = random.Random(seed)
@@ -253,8 +204,7 @@ def instance_stream(seed: int):
         m = rng.randint(2, 6)
         if kind in ("triangular", "matrix"):
             n = rng.choice((2, 3))
-            group = make_cyclic(int(group_tag[1:]))
-            sigma = tuple(rng.randrange(group.order) for _ in range(n))
+            sigma = tuple(rng.randrange(int(group_tag[1:])) for _ in range(n))
             param = (n, sigma)
         elif kind == "diagonal_z":
             param = rng.choice((2, 3))
@@ -266,7 +216,7 @@ def instance_stream(seed: int):
             group_tag = "c1"
         else:
             param = None
-        spec = factory.build((kind, ring_tag, group_tag, param, m))
+        spec = _instance((kind, ring_tag, group_tag, param, m))
         if spec is not None:
             yield spec
 

@@ -42,7 +42,7 @@ from .constructions import (
     triangular_graded,
     zero_diagonal_ideal,
 )
-from .errors import GradedNilError, SpecError, ValidationError
+from .errors import SpecError, ValidationError
 from .grading import (
     Grading,
     HomogeneousIdeal,
@@ -79,6 +79,8 @@ class ParsedSpec:
     ideal: HomogeneousIdeal | None
     kind: str
     meta: dict = field(default_factory=dict)
+    #: the canonical document apart from ``name`` and ``m``, which
+    #: ``emit_ring_spec`` takes from the record itself
     normalized: dict = field(default_factory=dict)
 
 
@@ -108,6 +110,13 @@ def _int(doc, key, path, minimum=None) -> int:
     return val
 
 
+def _list(doc, key, path) -> list:
+    val = doc[key]
+    if not isinstance(val, list):
+        raise SpecError(f"field {key!r} must be a list", path)
+    return val
+
+
 class _Parser:
     def __init__(self, limits: Limits):
         self.limits = limits
@@ -131,7 +140,7 @@ class _Parser:
             _require_keys(doc, {"kind", "factors"}, {"kind", "factors"}, path)
             norm_factors = []
             groups = []
-            for i, sub in enumerate(doc["factors"]):
+            for i, sub in enumerate(_list(doc, "factors", path)):
                 g, norm = self.parse_group(sub, f"{path}.factors[{i}]")
                 if isinstance(g, IntegerGroup):
                     raise SpecError("integer group cannot be a product factor", path)
@@ -173,6 +182,8 @@ class _Parser:
             return verify_grading(ring, group, comps), {"group": norm_group, "trivial": True}
         if "components" not in doc:
             raise SpecError("grading needs 'trivial' or 'components'", path)
+        if not isinstance(doc["components"], dict):
+            raise SpecError("field 'components' must be an object", path)
         comps = {}
         norm_comps = {}
         for key, elems in doc["components"].items():
@@ -182,7 +193,8 @@ class _Parser:
                 raise SpecError(f"component degree {key!r} is not an integer", path) from exc
             if not isinstance(group, IntegerGroup) and not (0 <= deg < group.order):
                 raise SpecError(f"degree {deg} outside the group", path)
-            if not all(isinstance(e, int) and 0 <= e < ring.size for e in elems):
+            if not isinstance(elems, list) or not all(
+                    type(e) is int and 0 <= e < ring.size for e in elems):
                 raise SpecError(f"component {key} lists invalid elements", path)
             comps[deg] = list(elems)
             norm_comps[str(deg)] = sorted(set(elems))
@@ -213,10 +225,10 @@ class _Parser:
             if len(ideal) != grading.ring.size:
                 raise SpecError("'all' ideal did not close to the whole ring", path)
             return ideal, {"all": True}
-        gens = doc.get("generators")
-        if gens is None:
+        if "generators" not in doc:
             raise SpecError("ideal block must select generators/zero_diagonal/all", path)
-        if not all(isinstance(g, int) and 0 <= g < grading.ring.size for g in gens):
+        gens = _list(doc, "generators", path)
+        if not all(type(g) is int and 0 <= g < grading.ring.size for g in gens):
             raise SpecError("ideal generators must be valid element indices", path)
         try:
             ideal = homogeneous_two_sided_ideal_closure(grading, gens)
@@ -231,7 +243,7 @@ class _Parser:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise SpecError("ring block needs a 'kind'", path)
         kind = doc["kind"]
-        if kind not in _RING_KINDS:
+        if not isinstance(kind, str) or kind not in _RING_KINDS:
             raise SpecError(f"unknown ring kind {kind!r}", path)
         handler = getattr(self, f"_ring_{kind}")
         grading, norm, meta = handler(doc, path)
@@ -251,7 +263,7 @@ class _Parser:
         k = _int(doc, "k", path, minimum=1) if "k" in doc else 1
         try:
             ring = make_gf(p, k)
-        except (ValidationError, GradedNilError) as exc:
+        except ValidationError as exc:
             raise SpecError(str(exc), path) from exc
         grading, norm_grading = self.parse_leaf_grading(ring, doc.get("grading"), f"{path}.grading")
         return grading, {"kind": "gf", "p": p, "k": k, "grading": norm_grading}, {}
@@ -288,11 +300,11 @@ class _Parser:
         return grading, norm, {}
 
     def _sigma(self, doc, path, group, n):
-        sigma = doc.get("sigma", [group.identity] * n)
+        sigma = _list(doc, "sigma", path) if "sigma" in doc else [group.identity] * n
         if len(sigma) != n:
             raise SpecError(f"sigma must have length {n}", path)
         for s in sigma:
-            if not isinstance(s, int):
+            if type(s) is not int:
                 raise SpecError("sigma entries must be integers", path)
             if not isinstance(group, IntegerGroup) and not (0 <= s < group.order):
                 raise SpecError(f"sigma entry {s} outside the group", path)
@@ -305,7 +317,7 @@ class _Parser:
         sigma = self._sigma(doc, path, base.group, n)
         try:
             grading = matrix_graded(base, n, sigma, max_elements=self.limits.max_elements)
-        except GradedNilError as exc:
+        except ValidationError as exc:
             raise SpecError(str(exc), path) from exc
         norm = {"kind": "matrix", "base": norm_base, "n": n, "sigma": sigma}
         return grading, norm, {"base": base, "sigma": sigma, "n": n}
@@ -318,7 +330,7 @@ class _Parser:
         try:
             grading, ideal = triangular_graded(base, n, sigma,
                                                max_elements=self.limits.max_elements)
-        except GradedNilError as exc:
+        except ValidationError as exc:
             raise SpecError(str(exc), path) from exc
         norm = {"kind": "triangular", "base": norm_base, "n": n, "sigma": sigma}
         return grading, norm, {
@@ -331,7 +343,7 @@ class _Parser:
         n = _int(doc, "n", path, minimum=1)
         try:
             grading = diagonal_z_grading(base.ring, n, max_elements=self.limits.max_elements)
-        except GradedNilError as exc:
+        except ValidationError as exc:
             raise SpecError(str(exc), path) from exc
         norm = {"kind": "diagonal_z", "base": norm_base, "n": n}
         return grading, norm, {"base_ring": base.ring, "n": n}
@@ -378,7 +390,7 @@ class _Parser:
         _require_keys(doc, {"kind", "factors"}, {"kind", "factors"}, path)
         factors = []
         norms = []
-        for i, sub in enumerate(doc["factors"]):
+        for i, sub in enumerate(_list(doc, "factors", path)):
             g, norm, _ = self.parse_ring(sub, f"{path}.factors[{i}]")
             factors.append(g)
             norms.append(norm)
@@ -386,7 +398,7 @@ class _Parser:
             raise SpecError("product needs at least one factor", path)
         try:
             grading = product_grading(factors, max_elements=self.limits.max_elements)
-        except GradedNilError as exc:
+        except ValidationError as exc:
             raise SpecError(str(exc), path) from exc
         return grading, {"kind": "product", "factors": norms}, {"factors": factors}
 
@@ -396,7 +408,7 @@ class _Parser:
         ideal, norm_ideal = self.parse_ideal(base, doc["ideal"], f"{path}.ideal", base_meta)
         try:
             grading, proj = graded_quotient(base, ideal)
-        except GradedNilError as exc:
+        except ValidationError as exc:
             raise SpecError(str(exc), path) from exc
         norm = {"kind": "quotient", "base": norm_base, "ideal": norm_ideal}
         return grading, norm, {"base": base, "quotient_ideal": ideal, "projection": proj}
@@ -428,7 +440,7 @@ class _Parser:
             spec = AmalgamationSpec(a, b, fmap, ideal)
             grading = amalgamation(spec, max_elements=self.limits.max_elements)
             image = image_subring_grading(spec)
-        except GradedNilError as exc:
+        except ValidationError as exc:
             raise SpecError(str(exc), path) from exc
         norm = {"kind": "amalgamation", "a": norm_a, "b": norm_b, "f": norm_f,
                 "ideal": norm_ideal}
@@ -436,7 +448,11 @@ class _Parser:
 
 
 def parse_ring_spec(text: str, limits: Limits | None = None) -> ParsedSpec:
-    """Parse a document into a validated grading plus requested checks."""
+    """Parse a document into a validated grading plus requested checks.
+
+    A malformed document raises ``SpecError`` naming the offending field; a
+    ring over a cap of ``limits`` raises ``ResourceLimitError`` unwrapped.
+    """
     from .checks import CHECK_REGISTRY  # late import; checks imports us for Limits
 
     limits = limits or DEFAULT_LIMITS
@@ -475,7 +491,7 @@ def parse_ring_spec(text: str, limits: Limits | None = None) -> ParsedSpec:
         ideal, norm_ideal = parser.parse_ideal(grading, doc["ideal"], "ideal", meta)
 
     name = doc.get("name", grading.ring.label)
-    normalized = {"name": name, "m": m, "ring": norm_ring, "checks": checks,
+    normalized = {"ring": norm_ring, "checks": checks,
                   "expected": dict(sorted(expected.items()))}
     if norm_ideal is not None:
         normalized["ideal"] = norm_ideal
@@ -489,4 +505,5 @@ def parse_ring_spec(text: str, limits: Limits | None = None) -> ParsedSpec:
 
 def emit_ring_spec(parsed: ParsedSpec) -> str:
     """Canonical text for a parsed document; parse(emit(p)) rebuilds p."""
-    return json.dumps(parsed.normalized, indent=2, sort_keys=True) + "\n"
+    doc = {**parsed.normalized, "name": parsed.name, "m": parsed.m}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

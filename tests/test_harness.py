@@ -1,13 +1,16 @@
+import itertools
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from gradednil import search
 from gradednil.checks import CHECK_REGISTRY, exit_code, run_checks
 from gradednil.cli import emit_report, main
 from gradednil.corpus import corpus_document, corpus_documents, corpus_names
-from gradednil.errors import SpecError
+from gradednil.errors import ResourceLimitError, SpecError
 from gradednil.search import (
     EXPECTED_COUNTEREXAMPLE_TARGETS,
     FORWARD_TARGETS,
@@ -196,6 +199,43 @@ def test_amalgamation_map_entries_are_checked(fmap, fragment, tmp_path):
     assert main(["check", str(spec)]) == 2
 
 
+_Z4_C2 = {"kind": "zn", "n": 4,
+          "grading": {"group": {"kind": "cyclic", "n": 2}, "trivial": True}}
+_Z4_C3 = {"kind": "zn", "n": 4,
+          "grading": {"group": {"kind": "cyclic", "n": 3}, "trivial": True}}
+
+
+@pytest.mark.parametrize("ring,top,path,fragment", [
+    ({"kind": "matrix", "base": _Z4_C2, "n": 2, "sigma": 5}, {},
+     "ring", "field 'sigma' must be a list"),
+    ({"kind": "matrix", "base": _Z4_C2, "n": 2, "sigma": [0, True]}, {},
+     "ring", "sigma entries must be integers"),
+    ({"kind": "zn", "n": 4, "grading": {"group": {"kind": "cyclic", "n": 2},
+                                        "components": [0, 1]}}, {},
+     "ring.grading", "field 'components' must be an object"),
+    ({"kind": "zn", "n": 4, "grading": {"group": {"kind": "cyclic", "n": 2},
+                                        "components": {"0": 3}}}, {},
+     "ring.grading", "component 0 lists invalid elements"),
+    ({"kind": "product", "factors": 3}, {}, "ring", "field 'factors' must be a list"),
+    ({"kind": "zn", "n": 4, "grading": {"group": {"kind": "product", "factors": 3},
+                                        "trivial": True}}, {},
+     "ring.grading.group", "field 'factors' must be a list"),
+    ({"kind": "zn", "n": 4}, {"ideal": {"generators": 3}},
+     "ideal", "field 'generators' must be a list"),
+    ({"kind": [1]}, {}, "ring", "unknown ring kind [1]"),
+], ids=["sigma-int", "sigma-bool-entry", "components-list", "components-int-entry",
+        "ring-factors-int", "group-factors-int", "ideal-generators-int", "ring-kind-list"])
+def test_malformed_fields_are_spec_errors(ring, top, path, fragment, tmp_path):
+    bad = {"m": 2, "ring": ring, **top}
+    with pytest.raises(SpecError) as err:
+        parse_ring_spec(doc(bad))
+    assert err.value.path == path
+    assert fragment in str(err.value)
+    spec = tmp_path / "bad.json"
+    spec.write_text(doc(bad))
+    assert main(["check", str(spec)]) == 2
+
+
 def test_amalgamation_identity_map_document_parses():
     parsed = parse_ring_spec(doc(_amalgamation_doc([0, 1, 2, 3])))
     assert parsed.grading.ring.size == 8
@@ -234,6 +274,7 @@ def test_corpus_round_trip(name):
     first = parse_ring_spec(corpus_document(name))
     text = emit_ring_spec(first)
     second = parse_ring_spec(text)
+    assert (first.name, first.m) == (second.name, second.m)
     assert first.normalized == second.normalized
     assert first.grading.components == second.grading.components
     assert first.grading.support == second.grading.support
@@ -390,29 +431,27 @@ def test_forward_targets_clean_on_modest_budget():
         assert not report.found, f"{target}: {report.counterexamples}"
 
 
-def test_factory_shares_one_grading_across_m():
-    from gradednil.search import _Factory
+def test_search_instances_share_one_grading_across_m(monkeypatch):
+    parsed_docs = []
+    parse = search.parse_ring_spec
 
-    factory = _Factory()
-    shapes = []
-    build_shape = factory._build
+    def counted(text, limits):
+        parsed_docs.append(json.loads(text))
+        return parse(text, limits)
 
-    def counted(shape):
-        shapes.append(shape)
-        return build_shape(shape)
-
-    factory._build = counted
+    monkeypatch.setattr(search, "parse_ring_spec", counted)
+    monkeypatch.setattr(search, "_SHAPES", {})
     shape = ("triangular", "z2", "c2", (2, (0, 1)))
-    insts = [factory.build(shape + (m,)) for m in (2, 3, 5)]
+    insts = [search._instance(shape + (m,)) for m in (2, 3, 5)]
     assert len({id(inst.grading) for inst in insts}) == 1
     assert [inst.m for inst in insts] == [2, 3, 5]
     assert [inst.name.rsplit(" ", 1)[1] for inst in insts] == ["m=2", "m=3", "m=5"]
     assert insts[0].ideal is insts[2].ideal
-    assert shapes == [shape]
+    assert parsed_docs == [search._shape_document(shape)]
     # over the search's ring cap, and a quotient by a non-nilpotent generator
     for none_shape in (("matrix", "z6", "c2", (3, (0, 0, 0))), ("quotient", "z3", "c1", 1)):
-        assert all(factory.build(none_shape + (m,)) is None for m in (2, 3, 4))
-    assert len(shapes) == 3
+        assert all(search._instance(none_shape + (m,)) is None for m in (2, 3, 4))
+    assert len(parsed_docs) == 3
 
 
 def test_search_target_runs_the_registered_check():
@@ -427,13 +466,78 @@ def test_search_target_runs_the_registered_check():
 
 
 def test_search_target_returns_a_miss_over_the_element_cap():
-    from gradednil.search import SEARCH_LIMITS, _Factory
-
-    spec = _Factory().build(("matrix", "z2", "c2", (3, (0, 0, 0)), 2))
-    assert spec.grading.ring.size == 512 > SEARCH_LIMITS.element_check_cap
+    spec = search._instance(("matrix", "z2", "c2", (3, (0, 0, 0)), 2))
+    assert spec.grading.ring.size == 512 > search.SEARCH_LIMITS.element_check_cap
     status, _witness, detail = TARGETS["strongly_clean_gives_pi_regular_decomposition"](spec)
     assert status == "skipped-resource"
     assert "limit 256" in detail
+
+
+def _family_shapes():
+    """Every shape (kind, ring, group, param) the search can draw: 650 in all."""
+    for r in search._BASE_RINGS:
+        for g in search._GROUPS:
+            yield "leaf", r, g, None
+            yield "group_ring", r, g, None
+            for other in search._BASE_RINGS:
+                yield "product", r, g, other
+            for kind in ("triangular", "matrix"):
+                for n in (2, 3):
+                    for sigma in itertools.product(range(int(g[1:])), repeat=n):
+                        yield kind, r, g, (n, sigma)
+        for n in (2, 3):
+            yield "diagonal_z", r, "c1", n
+        for gen in (1, 2, 3, "all"):
+            yield "amalgamation", r, "c1", gen
+        for gen in (1, 2, 3):
+            yield "quotient", r, "c1", gen
+
+
+def test_search_family_is_pinned_and_round_trips():
+    """The whole family: which shapes build, why the rest are rejected, and
+    that each built instance's emitted document rebuilds it."""
+    shapes = list(_family_shapes())
+    assert len(shapes) == len(set(shapes)) == 650
+    built, over_cap, quotient_rule = [], [], []
+    for shape in shapes:
+        inst = search._instance(shape + (3,))
+        if inst is not None:
+            built.append(inst)
+            continue
+        try:
+            parse_ring_spec(json.dumps(search._shape_document(shape)), search.SEARCH_LIMITS)
+        except ResourceLimitError:
+            over_cap.append(shape)
+            continue
+        assert shape[0] == "quotient", shape
+        quotient_rule.append(shape)
+    assert (len(built), len(over_cap), len(quotient_rule)) == (367, 271, 12)
+    assert Counter(s[0] for s in over_cap) == {"matrix": 158, "triangular": 108,
+                                               "diagonal_z": 5}
+    for inst in built:
+        again = parse_ring_spec(emit_ring_spec(inst))
+        assert (again.name, again.m, again.kind) == (inst.name, 3, inst.kind)
+        assert again.grading.ring.size == inst.grading.ring.size, inst.name
+        assert again.grading.components == inst.grading.components, inst.name
+        assert (again.ideal is None) == (inst.ideal is None), inst.name
+        if inst.ideal is not None:
+            assert again.ideal.elements == inst.ideal.elements, inst.name
+
+
+def test_search_counterexample_reproduces_from_its_document(tmp_path, capsys):
+    report = counterexample_search("group_ring_transfer_p_nilpotent", budget=400, seed=7,
+                                   stop_at_first=True)
+    name, witness = report.counterexamples[0][:-1].split(" [")
+    inst = next(spec for spec in search.instance_stream(7) if spec.name == name)
+    document = json.loads(emit_ring_spec(inst))
+    assert document["name"] == name
+    document["checks"] = ["group_ring_clean_transfer"]
+    spec = tmp_path / "counterexample.json"
+    spec.write_text(doc(document))
+    assert main(["check", str(spec)]) == 1
+    out = capsys.readouterr().out
+    assert "falsified" in out
+    assert f"witness: {witness} (degree " in out
 
 
 def test_target_partition():
@@ -463,6 +567,23 @@ def test_cli_check_and_exit_codes(tmp_path):
         "checks": ["graded_m_nil_clean"], "expected": {"graded_m_nil_clean": True},
     }))
     assert main(["check", str(falsify)]) == 1
+
+
+@pytest.mark.parametrize("ring", [
+    {"kind": "matrix", "base": {"kind": "zn", "n": 4}, "n": 3},
+    {"kind": "group_ring", "base": _Z4_C3, "group": {"kind": "cyclic", "n": 3}},
+], ids=["matrix", "group_ring"])
+def test_cli_cap_hit_while_building_exits_3(ring, tmp_path, capsys):
+    spec = tmp_path / "big.json"
+    spec.write_text(doc({"m": 2, "ring": ring}))
+    for verb in ("check", "radical"):
+        assert main(["--max-elements", "32", verb, str(spec)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_corpus_cap_hit_while_building_exits_3(capsys):
+    assert main(["--max-elements", "32", "corpus"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_check_emit_spec(tmp_path, capsys):

@@ -28,7 +28,7 @@ from gradednil.rings import (
     subring_from_elements,
     unit_map,
 )
-from gradednil.search import _catalog_keys, _Factory
+from gradednil.search import _catalog_keys, _instance
 from gradednil.specfile import parse_ring_spec
 
 # ---------------------------------------------------------------------------
@@ -315,9 +315,8 @@ def _structured_cases(source):
             identity = grading.component(grading.group.identity)
             yield f"{name}_e", subring_from_elements(grading.ring, identity)[0], None
     else:
-        factory = _Factory()
         for key in _catalog_keys():
-            spec = factory.build(key) if key[-1] == 2 else None
+            spec = _instance(key) if key[-1] == 2 else None
             if spec is not None and spec.grading.ring.size <= 256:
                 yield spec.name, spec.grading.ring, spec.grading
 

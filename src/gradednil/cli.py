@@ -64,7 +64,7 @@ def _summary(entry_reports) -> dict:
 
 
 def _limits(args) -> Limits:
-    return Limits(max_elements=args.max_elements, max_ideals=args.max_ideals)
+    return Limits(max_elements=args.max_elements)
 
 
 def _cmd_check(args) -> int:
@@ -115,7 +115,7 @@ def _cmd_radical(args) -> int:
     try:
         gr = parsed.grading
         if args.graded:
-            ideal = graded_jacobson_radical(gr, max_ideals=args.max_ideals)
+            ideal = graded_jacobson_radical(gr)
             elems = sorted(ideal.elements)
             print(f"graded radical of {gr.ring.label}: {len(elems)} element(s)")
         else:
@@ -159,8 +159,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--max-elements", type=int, default=1 << 20,
                         help="cap on constructed ring sizes")
-    parser.add_argument("--max-ideals", type=int, default=20000,
-                        help="cap on the homogeneous right ideal lattice")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run one ring description document")

@@ -236,7 +236,7 @@ def matrix_graded(base: Grading, n: int, sigma,
         raise ValidationError(f"sigma must have length {n}")
     ring = MatrixRing(base.ring, n, max_elements=max_elements)
     comps = _matrix_components(ring, base, sigma)
-    return verify_grading(ring, base.group, comps, max_combinations=max_elements)
+    return verify_grading(ring, base.group, comps)
 
 
 def triangular_graded(base: Grading, n: int, sigma,
@@ -251,7 +251,7 @@ def triangular_graded(base: Grading, n: int, sigma,
         raise ValidationError(f"sigma must have length {n}")
     ring = TriangularRing(base.ring, n, max_elements=max_elements)
     comps = _matrix_components(ring, base, sigma)
-    grading = verify_grading(ring, base.group, comps, max_combinations=max_elements)
+    grading = verify_grading(ring, base.group, comps)
     return grading, zero_diagonal_ideal(grading)
 
 
@@ -399,7 +399,7 @@ def group_ring_graded(base: Grading, group: FiniteGroup, mult_mode: str = "stand
             elems.append(ring.encode(coeffs))
         if len(elems) > 1 or g == group.identity:
             components[g] = elems
-    return verify_grading(ring, group, components, max_combinations=max_elements)
+    return verify_grading(ring, group, components)
 
 
 def augmentation_map(ring: GroupRingRing, x: int) -> int:
@@ -502,7 +502,7 @@ def amalgamation(spec: AmalgamationSpec,
             for j in comp_j
         }
         comps[g] = sorted(part)
-    return verify_grading(sub, group, comps, max_combinations=max_elements)
+    return verify_grading(sub, group, comps)
 
 
 def image_subring_grading(spec: AmalgamationSpec) -> Grading:
@@ -548,7 +548,7 @@ def product_grading(gradings: list[Grading],
         per = [sorted(g.component(d)) for g in gradings]
         elems = [ring.encode(combo) for combo in itertools.product(*per)]
         comps[d] = elems
-    return verify_grading(ring, group, comps, max_combinations=max_elements)
+    return verify_grading(ring, group, comps)
 
 
 def _same_group(g1, g2) -> bool:

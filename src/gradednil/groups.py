@@ -83,10 +83,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[i][j] == t[j][i] for i in range(self.order) for j in range(self.order))
-
     def format_element(self, g: int) -> str:
         return "e" if g == 0 else f"g{g}"
 
@@ -109,9 +105,6 @@ class IntegerGroup:
 
     def power(self, g: int, k: int) -> int:
         return g * k
-
-    def is_abelian(self) -> bool:
-        return True
 
     def format_element(self, g: int) -> str:
         return str(g)

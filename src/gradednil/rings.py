@@ -28,6 +28,9 @@ from .groups import is_prime
 # Classical radical computation is quadratic in ring size.
 RADICAL_SIZE_CAP = 4096
 
+# Cap on the entries of each full table of a leaf ring (Z_n, GF(q)).
+LEAF_TABLE_CAP = 1 << 16
+
 # Structured rings up to this size memoize add/mul in flat array('H') tables:
 # element indices below 256 and the miss marker 0xFFFF all fit in 16 bits, and
 # a full n*n table then takes at most 128 KiB.
@@ -363,6 +366,8 @@ def make_zn(n: int) -> TableRing:
     """Integers modulo n (n = 1 gives the zero ring)."""
     if n < 1:
         raise ValidationError(f"modulus must be >= 1, got {n}")
+    if n * n > LEAF_TABLE_CAP:
+        raise ResourceLimitError(f"Z{n} tables exceed cap", limit=LEAF_TABLE_CAP)
     add = [[(i + j) % n for j in range(n)] for i in range(n)]
     mul = [[(i * j) % n for j in range(n)] for i in range(n)]
     return TableRing(add, mul, one=1 % n, label=f"Z{n}", validate=False)
@@ -430,15 +435,15 @@ def lowest_irreducible(p: int, k: int) -> tuple:
     raise ValidationError(f"no irreducible of degree {k} over Z_{p}")  # unreachable
 
 
-def make_gf(p: int, k: int = 1, max_size: int = 65536) -> TableRing:
+def make_gf(p: int, k: int = 1) -> TableRing:
     """The field GF(p^k), built from a fixed irreducible modulus."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if k < 1:
         raise ValidationError(f"extension degree must be >= 1, got {k}")
     q = p**k
-    if q * q > max_size:
-        raise ResourceLimitError(f"GF({q}) tables exceed cap", limit=max_size)
+    if q * q > LEAF_TABLE_CAP:
+        raise ResourceLimitError(f"GF({q}) tables exceed cap", limit=LEAF_TABLE_CAP)
     if k == 1:
         ring = make_zn(p)
         ring.label = f"GF({p})"

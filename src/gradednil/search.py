@@ -28,9 +28,9 @@ from .errors import ResourceLimitError
 from .rings import is_nilpotent
 from .specfile import Limits, ParsedSpec, parse_ring_spec
 
-#: caps for every search instance: ring size when building, the homogeneous
-#: right ideal lattice, and the per-element sweeps of the checks
-SEARCH_LIMITS = Limits(max_elements=1024, max_ideals=2000, element_check_cap=256)
+#: caps for every search instance: ring size when building, and the
+#: per-element sweeps of the checks
+SEARCH_LIMITS = Limits(max_elements=1024, element_check_cap=256)
 
 
 @dataclass

@@ -26,6 +26,7 @@ Document shape::
 Ring kinds: zn, gf, table, matrix, triangular, diagonal_z, group_ring,
 product, quotient, amalgamation.  Group kinds: cyclic, product, integer.
 Ideal blocks: {"generators": [...]} | {"zero_diagonal": true} | {"all": true}.
+Expected blocks map names in ``checks.EXPECTED_KEYS`` to JSON booleans.
 """
 
 import json
@@ -60,7 +61,6 @@ class Limits:
     """Resource caps threaded through parsing and checking."""
 
     max_elements: int = 1 << 20
-    max_ideals: int = 20000
     element_check_cap: int = 1024
 
 
@@ -451,9 +451,10 @@ def parse_ring_spec(text: str, limits: Limits | None = None) -> ParsedSpec:
     """Parse a document into a validated grading plus requested checks.
 
     A malformed document raises ``SpecError`` naming the offending field; a
-    ring over a cap of ``limits`` raises ``ResourceLimitError`` unwrapped.
+    ring over a cap (of ``limits``, or the leaf table cap) raises
+    ``ResourceLimitError`` unwrapped.
     """
-    from .checks import CHECK_REGISTRY  # late import; checks imports us for Limits
+    from .checks import CHECK_REGISTRY, EXPECTED_KEYS  # late: checks imports us
 
     limits = limits or DEFAULT_LIMITS
     try:
@@ -482,8 +483,10 @@ def parse_ring_spec(text: str, limits: Limits | None = None) -> ParsedSpec:
         resolved_checks = list(checks)
 
     expected = doc.get("expected", {})
-    if not isinstance(expected, dict):
-        raise SpecError("expected must be an object", "expected")
+    _require_keys(expected, EXPECTED_KEYS, set(), "expected")
+    for key, value in expected.items():
+        if type(value) is not bool:
+            raise SpecError(f"expectation {key!r} must be true or false", "expected")
 
     ideal = None
     norm_ideal = None

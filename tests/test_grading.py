@@ -1,7 +1,8 @@
 import pytest
 
 from gradednil.constructions import diagonal_z_grading, matrix_graded, triangular_graded
-from gradednil.errors import ValidationError
+from gradednil.corpus import corpus_document
+from gradednil.errors import ResourceLimitError, ValidationError
 from gradednil.grading import (
     NOT_HOMOGENEOUS,
     ZERO_DEGREE,
@@ -17,6 +18,7 @@ from gradednil.grading import (
 )
 from gradednil.groups import make_cyclic
 from gradednil.rings import jacobson_radical, make_gf, make_zn, subring_from_elements
+from gradednil.specfile import parse_ring_spec
 
 C2 = make_cyclic(2)
 
@@ -31,6 +33,12 @@ def t2_gf3():
 def t2_z2():
     grading, ideal = triangular_graded(trivial_grading(make_zn(2), C2), 2, [0, 1])
     return grading, ideal
+
+
+@pytest.fixture(scope="module")
+def t3_z4_c2():
+    """4096 elements: far too many homogeneous right ideals to list."""
+    return parse_ring_spec(corpus_document("t3-z4-c2")).grading
 
 
 def test_trivial_grading_valid_for_any_ring():
@@ -178,14 +186,18 @@ def test_graded_maximal_right_ideals_examples(t2_z2):
     assert len(maximal) == 2
 
 
-def test_graded_jacobson_radical_examples(t2_z2):
+def test_graded_jacobson_radical_examples(t2_z2, t3_z4_c2):
     assert graded_jacobson_radical(trivial_grading(make_gf(3))).elements == frozenset({0})
     assert graded_jacobson_radical(trivial_grading(make_zn(4))).elements == frozenset({0, 2})
+    assert graded_jacobson_radical(trivial_grading(make_zn(1))).elements == frozenset({0})
     grading, _ = t2_z2
+    with pytest.raises(ResourceLimitError):  # the lattice cap does not bound the radical
+        graded_maximal_right_ideals(grading, max_ideals=2)
     e12 = grading.ring.encode_entries({(0, 1): 1})
     jg = graded_jacobson_radical(grading)
     assert jg.elements == frozenset({0, e12})
     assert jg.sidedness == "two-sided"
+    assert len(graded_jacobson_radical(t3_z4_c2)) == 512
 
 
 def test_is_graded_nil(t2_z2):
@@ -197,12 +209,15 @@ def test_is_graded_nil(t2_z2):
     assert not is_graded_nil(grading, full)
 
 
-def test_graded_local_examples():
+def test_graded_local_examples(t2_z2, t3_z4_c2):
     assert is_graded_local(trivial_grading(make_gf(3)))
     assert is_graded_local(trivial_grading(make_zn(4)))
     from gradednil.rings import product_ring
     z2z2 = product_ring([make_zn(2), make_zn(2)])
     assert not is_graded_local(trivial_grading(z2z2))
+    assert not is_graded_local(trivial_grading(make_zn(1)))  # the zero ring
+    assert not is_graded_local(t2_z2[0])
+    assert not is_graded_local(t3_z4_c2)
 
 
 def test_graded_quotient_examples(t2_gf3):

@@ -6,18 +6,20 @@ from collections import Counter
 
 import pytest
 
+from gradednil import grading as grading_module
 from gradednil import search
 from gradednil.checks import CHECK_REGISTRY, exit_code, run_checks
 from gradednil.cli import emit_report, main
 from gradednil.corpus import corpus_document, corpus_documents, corpus_names
 from gradednil.errors import ResourceLimitError, SpecError
+from gradednil.grading import graded_jacobson_radical, graded_maximal_right_ideals, is_graded_local
 from gradednil.search import (
     EXPECTED_COUNTEREXAMPLE_TARGETS,
     FORWARD_TARGETS,
     TARGETS,
     counterexample_search,
 )
-from gradednil.specfile import emit_ring_spec, parse_ring_spec
+from gradednil.specfile import Limits, emit_ring_spec, parse_ring_spec
 
 
 def doc(obj) -> str:
@@ -32,6 +34,8 @@ def test_parse_zn_trivial():
     parsed = parse_ring_spec(doc({"m": 2, "ring": {"kind": "zn", "n": 4}}))
     assert parsed.grading.ring.size == 4
     assert sorted(parsed.grading.support) == [0]
+    largest = parse_ring_spec(doc({"m": 2, "ring": {"kind": "zn", "n": 256}}))  # at the cap
+    assert largest.grading.ring.size == 256
 
 
 def test_parse_triangular_split_ring():
@@ -223,8 +227,13 @@ _Z4_C3 = {"kind": "zn", "n": 4,
     ({"kind": "zn", "n": 4}, {"ideal": {"generators": 3}},
      "ideal", "field 'generators' must be a list"),
     ({"kind": [1]}, {}, "ring", "unknown ring kind [1]"),
+    ({"kind": "gf", "p": 3}, {"expected": {"graded_m_nil_clen": False}},
+     "expected", "unknown keys ['graded_m_nil_clen']"),
+    ({"kind": "gf", "p": 3}, {"expected": {"graded_m_nil_clean": "false"}},
+     "expected", "expectation 'graded_m_nil_clean' must be true or false"),
 ], ids=["sigma-int", "sigma-bool-entry", "components-list", "components-int-entry",
-        "ring-factors-int", "group-factors-int", "ideal-generators-int", "ring-kind-list"])
+        "ring-factors-int", "group-factors-int", "ideal-generators-int", "ring-kind-list",
+        "expected-unknown-key", "expected-string-value"])
 def test_malformed_fields_are_spec_errors(ring, top, path, fragment, tmp_path):
     bad = {"m": 2, "ring": ring, **top}
     with pytest.raises(SpecError) as err:
@@ -524,6 +533,44 @@ def test_search_family_is_pinned_and_round_trips():
             assert again.ideal.elements == inst.ideal.elements, inst.name
 
 
+def _radical_cases():
+    """Every corpus grading of at most 256 elements, with its base, factor and
+    image gradings, and every search-family grading of at most 128 elements."""
+    for name, text in corpus_documents():
+        parsed = parse_ring_spec(text)
+        meta = parsed.meta
+        gradings = [parsed.grading, meta.get("base"), meta.get("a"), meta.get("image")]
+        for i, grading in enumerate(gradings + meta.get("factors", [])):
+            if grading is not None and grading.ring.size <= 256:
+                yield f"{name}/{i}", grading
+    for shape in _family_shapes():
+        inst = search._instance(shape + (3,))
+        if inst is not None and inst.grading.ring.size <= 128:
+            yield inst.name, inst.grading
+
+
+def test_radical_and_locality_match_the_ideal_lattice(monkeypatch):
+    """The unit rule gives the lattice's J^g (the intersection of the maximal
+    homogeneous right ideals) and its locality verdict (exactly one)."""
+    cases = list(_radical_cases())
+    with monkeypatch.context() as patch:
+        def no_lattice(*_args, **_kwargs):
+            raise AssertionError("the decision path listed the ideal lattice")
+
+        patch.setattr(grading_module, "graded_maximal_right_ideals", no_lattice)
+        rule = []
+        for _label, grading in cases:
+            grading._memo.pop("jg", None)
+            rule.append((graded_jacobson_radical(grading).elements, is_graded_local(grading)))
+    assert len(cases) == 49 + 249  # corpus gradings, then family shapes
+    for (label, grading), (jg, local) in zip(cases, rule):
+        maximal = graded_maximal_right_ideals(grading)
+        lattice_jg = (frozenset.intersection(*[m.elements for m in maximal]) if maximal
+                      else frozenset(grading.ring.elements()))
+        assert jg == lattice_jg, label
+        assert local == (len(maximal) == 1), label
+
+
 def test_search_counterexample_reproduces_from_its_document(tmp_path, capsys):
     report = counterexample_search("group_ring_transfer_p_nilpotent", budget=400, seed=7,
                                    stop_at_first=True)
@@ -572,8 +619,11 @@ def test_cli_check_and_exit_codes(tmp_path):
 @pytest.mark.parametrize("ring", [
     {"kind": "matrix", "base": {"kind": "zn", "n": 4}, "n": 3},
     {"kind": "group_ring", "base": _Z4_C3, "group": {"kind": "cyclic", "n": 3}},
-], ids=["matrix", "group_ring"])
+    {"kind": "zn", "n": 257},  # over the leaf table cap, whatever --max-elements says
+], ids=["matrix", "group_ring", "zn"])
 def test_cli_cap_hit_while_building_exits_3(ring, tmp_path, capsys):
+    with pytest.raises(ResourceLimitError):
+        parse_ring_spec(doc({"m": 2, "ring": ring}), Limits(max_elements=32))
     spec = tmp_path / "big.json"
     spec.write_text(doc({"m": 2, "ring": ring}))
     for verb in ("check", "radical"):

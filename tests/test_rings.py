@@ -441,7 +441,10 @@ def test_gf_size_cap():
     from gradednil.errors import ResourceLimitError
 
     with pytest.raises(ResourceLimitError):
-        make_gf(2, 9)  # 512^2 table entries exceed the default cap
+        make_gf(2, 9)  # 512^2 table entries exceed the cap
+    with pytest.raises(ResourceLimitError):
+        make_zn(257)  # Z_n tables share the cap
+    assert make_zn(256).size == 256
 
 
 def test_product_ring_cap():

@@ -16,6 +16,10 @@ Statuses:
 A check whose hypotheses fail returns ``vacuous``; ``run_checks`` reports it
 as ``pass`` with a ``vacuous: ...`` detail, and the search counts it as an
 instance that did not meet the hypothesis.
+
+Claims about the identity component R_e ask their questions in R itself
+(``nilclean.identity_component_*``); no check builds R_e, or any other
+subring, as a ring of its own.
 """
 
 import time
@@ -36,6 +40,9 @@ from .nilclean import (
     graded_commuting_equivalence_check,
     graded_m_nil_clean_witness,
     graded_pi_regular_witness,
+    identity_component_pi_regular_witness,
+    identity_component_radical,
+    identity_component_unclean,
     is_graded_m_nil_clean_ring,
     is_m_nil_clean_ring,
     lift_m_potent,
@@ -45,14 +52,7 @@ from .nilclean import (
     strongly_pi_regular_certificates,
     strongly_pi_regular_from_m_nil_clean,
 )
-from .rings import (
-    is_m_potent,
-    is_nil_set,
-    is_nilpotent,
-    is_unit,
-    jacobson_radical,
-    subring_from_elements,
-)
+from .rings import is_m_potent, is_nil_set, is_nilpotent, is_unit, jacobson_radical
 from .specfile import DEFAULT_LIMITS, Limits, ParsedSpec
 
 
@@ -77,8 +77,8 @@ class CheckReport:
 class CheckContext:
     """Shared state for one entry's check run.
 
-    Decisions and the graded radical are memoized on the grading itself; the
-    identity-component subring is kept here, for this run only.
+    Decisions, the graded radical and the identity-component answers are
+    memoized on the grading itself; no subring is kept.
     """
 
     def __init__(self, parsed: ParsedSpec, limits: Limits):
@@ -91,22 +91,12 @@ class CheckContext:
         self.ideal = parsed.ideal
         self.meta = parsed.meta
         self.kind = parsed.kind
-        self._identity_subring = None
 
     def decided(self, strong: bool = False):
         return is_graded_m_nil_clean_ring(self.grading, self.m, strong)
 
     def torsion_free(self) -> bool:
         return is_m_torsion_free(self.grading.group, self.m - 1)
-
-    def identity_subring(self):
-        if self._identity_subring is None:
-            grading = self.grading
-            self._identity_subring = subring_from_elements(
-                grading.ring, grading.component(grading.group.identity),
-                label=f"{grading.ring.label}_e",
-            )
-        return self._identity_subring
 
     def fmt(self, x: int, grading=None) -> str:
         grading = grading or self.grading
@@ -215,20 +205,17 @@ def check_identity_component_m_nil_clean(ctx: CheckContext):
     ok, _ = ctx.decided()
     if not ok:
         return _vacuous("ring is not graded m-nil clean")
-    sub, _index, members = ctx.identity_subring()
-    if not is_m_nil_clean_ring(sub, ctx.m):
-        bad = next(
-            x for x in sub.elements() if m_nil_clean_witness(sub, x, ctx.m) is None
-        )
-        return "falsified", ctx.fmt(members[bad]), "identity component is not m-nil clean"
-    return "pass", None, f"identity component of size {sub.size} is m-nil clean"
+    bad = identity_component_unclean(ctx.grading, ctx.m)
+    if bad is not None:
+        return "falsified", ctx.fmt(bad), "identity component is not m-nil clean"
+    size = len(ctx.grading.component(ctx.grading.group.identity))
+    return "pass", None, f"identity component of size {size} is m-nil clean"
 
 
 def check_re_mnc_implies_graded_mnc(ctx: CheckContext):
     """The converse of identity_component_m_nil_clean.  Finite group rings
     refute it, so it is a search target and not a registered check."""
-    sub, _index, _members = ctx.identity_subring()
-    if not is_m_nil_clean_ring(sub, ctx.m):
+    if identity_component_unclean(ctx.grading, ctx.m) is not None:
         return _vacuous("identity component is not m-nil clean")
     ok, w = ctx.decided()
     if not ok:
@@ -398,15 +385,13 @@ def check_jg_meets_identity_component(ctx: CheckContext):
     jg = graded_jacobson_radical(ctx.grading)
     grading = ctx.grading
     e = grading.group.identity
-    sub, _index, members = ctx.identity_subring()
-    classical = jacobson_radical(sub)
-    classical_ambient = frozenset(members[i] for i in classical)
+    classical = identity_component_radical(grading)
     cut = jg.elements & grading.component(e)
-    agree = classical_ambient == cut
+    agree = classical == cut
     if isinstance(grading.group, IntegerGroup):
         return "pass", None, f"recorded (integer-graded): agreement={agree}"
     if not agree:
-        sym = sorted(classical_ambient ^ cut)
+        sym = sorted(classical ^ cut)
         return (
             "falsified",
             ctx.fmt(sym[0]),
@@ -443,8 +428,7 @@ def check_orthogonal_components_sufficiency(ctx: CheckContext):
         comp_ginv = ctx.grading.component(ginv)
         if any(ring.mul(x, y) != 0 for x in comp_g for y in comp_ginv):
             return _vacuous("component products with inverse degrees are not all zero")
-    sub, _i, _m = ctx.identity_subring()
-    if not is_m_nil_clean_ring(sub, ctx.m):
+    if identity_component_unclean(ctx.grading, ctx.m) is not None:
         return _vacuous("identity component is not m-nil clean")
     ok, w = ctx.decided()
     if not ok:
@@ -465,8 +449,7 @@ def check_graded_local_sufficiency(ctx: CheckContext):
         return _vacuous("group order is not a unit in the ring")
     if not is_graded_local(ctx.grading):
         return _vacuous("ring is not graded-local")
-    sub, _i, _m = ctx.identity_subring()
-    if not is_m_nil_clean_ring(sub, ctx.m):
+    if identity_component_unclean(ctx.grading, ctx.m) is not None:
         return _vacuous("identity component is not m-nil clean")
     ok, w = ctx.decided()
     if not ok:
@@ -495,11 +478,11 @@ def check_identity_component_strongly_pi_regular(ctx: CheckContext):
     ok, _ = ctx.decided()
     if not ok:
         return _vacuous("ring is not graded m-nil clean")
-    sub, _i, members = ctx.identity_subring()
-    for x in sub.elements():
-        if pi_regular_witness(sub, x) is None:
-            return "falsified", ctx.fmt(members[x]), "identity-component element is not strongly pi-regular"
-    return "pass", None, f"all {sub.size} identity-component elements are strongly pi-regular"
+    comp = sorted(ctx.grading.component(ctx.grading.group.identity))
+    for x in comp:
+        if identity_component_pi_regular_witness(ctx.grading, x) is None:
+            return "falsified", ctx.fmt(x), "identity-component element is not strongly pi-regular"
+    return "pass", None, f"all {len(comp)} identity-component elements are strongly pi-regular"
 
 
 def check_pi_regular_uniqueness(ctx: CheckContext):

@@ -10,11 +10,13 @@ are deterministic.
 
 from dataclasses import dataclass
 
-from .errors import Falsification, ValidationError
+from .errors import Falsification, ResourceLimitError, ValidationError
 from .grading import Grading, NOT_HOMOGENEOUS, ZERO_DEGREE
 from .groups import is_m_torsion_free
 from .rings import (
+    RADICAL_SIZE_CAP,
     FiniteRing,
+    additive_closure,
     idempotents,
     inverse_of,
     is_m_potent,
@@ -137,9 +139,28 @@ def is_m_nil_clean_ring(ring: FiniteRing, m: int, strong: bool = False) -> bool:
 def m_nil_clean_ring_witness(ring: FiniteRing, m: int, strong: bool = False) -> int | None:
     """First element with no certificate, or None if the ring qualifies."""
     for x in ring.elements():
-        if m_nil_clean_witness(ring, x, m, strong) is None:
+        clean = (is_strongly_m_nil_clean(ring, x, m) if strong
+                 else m_nil_clean_witness(ring, x, m) is not None)
+        if not clean:
             return x
     return None
+
+
+def is_strongly_m_nil_clean(ring: FiniteRing, x: int, m: int) -> bool:
+    """Whether x is strongly m-nil clean: exactly when x^m - x is nilpotent.
+
+    For m = 2 this is the strongly nil clean criterion of Diesl (*Nil clean
+    rings*, J. Algebra 383, 2013).  Only if: x = f + n with fn = nf gives
+    x^m - x = n*c with c commuting with n.  If: modulo its nilradical the
+    finite commutative ring Z[x] is a product of finite fields in which x is
+    m-potent; there the power of x prime to the residue characteristic lifts
+    it to an m-potent f, glued across the factors by the idempotents of Z[x],
+    and x - f is nilpotent.  That f lies in Z[x], which is why the test also
+    decides graded strong cleanness on the identity component.
+    """
+    if m < 2:
+        raise ValidationError(f"m must be >= 2, got {m}")
+    return is_nilpotent(ring, ring.sub(ring.power(x, m), x))
 
 
 def is_graded_m_nil_clean_ring(grading: Grading, m: int, strong: bool = False
@@ -166,9 +187,9 @@ def is_graded_m_nil_clean_ring(grading: Grading, m: int, strong: bool = False
 def _first_graded_unclean(grading: Grading, m: int, strong: bool) -> int | None:
     ring = grading.ring
     e = grading.group.identity
-    for x in sorted(grading.component(e)):
-        if graded_m_nil_clean_witness(grading, x, m, strong) is None:
-            return x
+    bad = identity_component_unclean(grading, m, strong)
+    if bad is not None:
+        return bad
     torsion_free = is_m_torsion_free(grading.group, m - 1)
     for g in sorted(grading.support):
         if g == e:
@@ -185,12 +206,90 @@ def _first_graded_unclean(grading: Grading, m: int, strong: bool) -> int | None:
 
 
 # ---------------------------------------------------------------------------
+# the identity component R_e, asked in R
+
+
+def identity_component_unclean(grading: Grading, m: int, strong: bool = False) -> int | None:
+    """First x of R_e, ascending, that is not (strongly) m-nil clean in the
+    ring R_e, or None when R_e is.  Memoized on the grading.
+
+    R_e is asked about in R, never built as a ring of its own.  Its
+    m-potents and nilpotents are those of R that lie in R_e, and both parts
+    of a graded split of x in R_e lie in R_e, so x is m-nil clean in R_e
+    exactly when :func:`graded_m_nil_clean_witness` finds a split; the
+    ascending ambient order is the order of R_e's own elements.  Units agree
+    too: if u in R_e has uv = 1 in R, split v into homogeneous parts v_g;
+    each u*v_g lies in R_g and they sum to 1 in R_e, so u*v_g = 0 for
+    g != e, and then v_g = v*u*v_g = 0, so v lies in R_e.  The strong case
+    reads :func:`is_strongly_m_nil_clean`, as Z[x] lies in R_e.
+    """
+    if m < 2:
+        raise ValidationError(f"m must be >= 2, got {m}")
+    key = ("re-unclean", m, strong)
+    memo = grading._memo
+    if key not in memo:
+        ring = grading.ring
+        memo[key] = next((
+            x for x in sorted(grading.component(grading.group.identity))
+            if not (is_strongly_m_nil_clean(ring, x, m) if strong
+                    else graded_m_nil_clean_witness(grading, x, m) is not None)
+        ), None)
+    return memo[key]
+
+
+def identity_component_pi_regular_witness(grading: Grading, a: int
+                                          ) -> PiRegularCertificate | None:
+    """First strongly pi-regular decomposition a = f + u of a in the ring
+    R_e, by ascending degree-e idempotent f, decided in R: a unit of R that
+    lies in R_e is a unit of R_e (:func:`identity_component_unclean`)."""
+    ring = grading.ring
+    e = grading.group.identity
+    if a not in grading.component(e):
+        raise ValidationError("element is not in the identity component", ("element", a))
+    cert = next(_pi_regular_decompositions(ring, a, grading.component_m_potents(e, 2)), None)
+    if cert is not None:
+        cert.verify(ring)
+    return cert
+
+
+def identity_component_radical(grading: Grading) -> frozenset[int]:
+    """J(R_e) = {z in R_e : 1 - x*z is a unit of R for every x in R_e}.
+
+    Units of R_e are the units of R that lie in it
+    (:func:`identity_component_unclean`).  The set is asserted a two-sided
+    ideal of R_e on additive generators, exact by biadditivity.
+    """
+    ring = grading.ring
+    comp = sorted(grading.component(grading.group.identity))
+    if len(comp) > RADICAL_SIZE_CAP:
+        raise ResourceLimitError(
+            f"radical of a {len(comp)}-element ring exceeds cap", limit=RADICAL_SIZE_CAP
+        )
+    one = ring.one
+    rad = frozenset(
+        z for z in comp
+        if all(is_unit(ring, ring.sub(one, ring.mul(x, z))) for x in comp)
+    )
+    span, kept = additive_closure(ring, sorted(rad))
+    if span != rad:
+        raise ValidationError("radical of the identity component is not additive", ("radical",))
+    for r in additive_closure(ring, comp)[1]:
+        for a in kept:
+            if ring.mul(r, a) not in rad or ring.mul(a, r) not in rad:
+                raise ValidationError(
+                    "radical of the identity component is not two-sided", ("radical", r, a)
+                )
+    return rad
+
+
+# ---------------------------------------------------------------------------
 # pi-regular decompositions
 
 
-def _pi_regular_decompositions(ring: FiniteRing, a: int):
-    """Yield each strongly pi-regular decomposition a = f + u, by ascending f."""
-    for f in idempotents(ring):
+def _pi_regular_decompositions(ring: FiniteRing, a: int, candidates=None):
+    """Yield each strongly pi-regular decomposition a = f + u, by ascending f
+    over the given idempotents (default: all of them)."""
+    for f in idempotents(ring) if candidates is None else candidates:
         u = ring.sub(a, f)
         if inverse_of(ring, u) is None:
             continue
@@ -319,8 +418,7 @@ def prop_commuting_equivalence_check(ring: FiniteRing, a: int, f: int, u: int, m
         if is_nilpotent(ring, ring.add(ring.sub(f, g), u)):
             exists_g = True
             break
-    strongly = m_nil_clean_witness(ring, a, m, strong=True) is not None
-    return exists_g == strongly
+    return exists_g == is_strongly_m_nil_clean(ring, a, m)
 
 
 def graded_commuting_equivalence_check(grading: Grading, a: int, f: int, u: int, m: int) -> bool:
@@ -346,8 +444,12 @@ def graded_commuting_equivalence_check(grading: Grading, a: int, f: int, u: int,
             if is_nilpotent(ring, ring.add(ring.sub(f, g), u)):
                 exists_g = True
                 break
-    strongly = (
-        grading.is_homogeneous(a)
-        and graded_m_nil_clean_witness(grading, a, m, strong=True) is not None
-    )
+    a_degree = grading.degree_of(a)
+    if a_degree in (ZERO_DEGREE, e):
+        strongly = is_strongly_m_nil_clean(ring, a, m)  # Z[a] lies in R_e
+    else:
+        strongly = (
+            a_degree is not NOT_HOMOGENEOUS
+            and graded_m_nil_clean_witness(grading, a, m, strong=True) is not None
+        )
     return exists_g == strongly

@@ -436,14 +436,20 @@ def lowest_irreducible(p: int, k: int) -> tuple:
 
 
 def make_gf(p: int, k: int = 1) -> TableRing:
-    """The field GF(p^k), built from a fixed irreducible modulus."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
+    """The field GF(p^k), built from a fixed irreducible modulus.
+
+    The table bound is checked before primality, so an oversized p costs no
+    trial division, and q = p^k is formed a factor at a time: past the cap
+    within nine factors whenever |p| >= 2."""
     if k < 1:
         raise ValidationError(f"extension degree must be >= 1, got {k}")
-    q = p**k
-    if q * q > LEAF_TABLE_CAP:
-        raise ResourceLimitError(f"GF({q}) tables exceed cap", limit=LEAF_TABLE_CAP)
+    q = 1
+    for _ in range(min(k, 9)):
+        q *= p
+        if q * q > LEAF_TABLE_CAP:
+            raise ResourceLimitError(f"GF({p}^{k}) tables exceed cap", limit=LEAF_TABLE_CAP)
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
     if k == 1:
         ring = make_zn(p)
         ring.label = f"GF({p})"

@@ -2,17 +2,30 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
 
 from gradednil import grading as grading_module
+from gradednil import rings as rings_module
 from gradednil import search
 from gradednil.checks import CHECK_REGISTRY, exit_code, run_checks
 from gradednil.cli import emit_report, main
 from gradednil.corpus import corpus_document, corpus_documents, corpus_names
-from gradednil.errors import ResourceLimitError, SpecError
+from gradednil.errors import ResourceLimitError, SpecError, ValidationError
 from gradednil.grading import graded_jacobson_radical, graded_maximal_right_ideals, is_graded_local
+from gradednil.nilclean import (
+    identity_component_pi_regular_witness,
+    identity_component_radical,
+    identity_component_unclean,
+    is_m_nil_clean_ring,
+    is_strongly_m_nil_clean,
+    m_nil_clean_ring_witness,
+    m_nil_clean_witness,
+    pi_regular_witness,
+)
+from gradednil.rings import jacobson_radical, make_gf, subring_from_elements
 from gradednil.search import (
     EXPECTED_COUNTEREXAMPLE_TARGETS,
     FORWARD_TARGETS,
@@ -533,26 +546,27 @@ def test_search_family_is_pinned_and_round_trips():
             assert again.ideal.elements == inst.ideal.elements, inst.name
 
 
-def _radical_cases():
-    """Every corpus grading of at most 256 elements, with its base, factor and
-    image gradings, and every search-family grading of at most 128 elements."""
+def _graded_cases(corpus_cap, family_cap):
+    """Every corpus grading of at most `corpus_cap` elements, with its base,
+    factor and image gradings, and every search-family grading of at most
+    `family_cap` elements."""
     for name, text in corpus_documents():
         parsed = parse_ring_spec(text)
         meta = parsed.meta
         gradings = [parsed.grading, meta.get("base"), meta.get("a"), meta.get("image")]
         for i, grading in enumerate(gradings + meta.get("factors", [])):
-            if grading is not None and grading.ring.size <= 256:
+            if grading is not None and grading.ring.size <= corpus_cap:
                 yield f"{name}/{i}", grading
     for shape in _family_shapes():
         inst = search._instance(shape + (3,))
-        if inst is not None and inst.grading.ring.size <= 128:
+        if inst is not None and inst.grading.ring.size <= family_cap:
             yield inst.name, inst.grading
 
 
 def test_radical_and_locality_match_the_ideal_lattice(monkeypatch):
     """The unit rule gives the lattice's J^g (the intersection of the maximal
     homogeneous right ideals) and its locality verdict (exactly one)."""
-    cases = list(_radical_cases())
+    cases = list(_graded_cases(256, 128))
     with monkeypatch.context() as patch:
         def no_lattice(*_args, **_kwargs):
             raise AssertionError("the decision path listed the ideal lattice")
@@ -569,6 +583,103 @@ def test_radical_and_locality_match_the_ideal_lattice(monkeypatch):
                       else frozenset(grading.ring.elements()))
         assert jg == lattice_jg, label
         assert local == (len(maximal) == 1), label
+
+
+def _subring_answers(ring, comp):
+    """The identity-component answers of R_e built as a ring of its own, in
+    ambient elements: per m = 2..6 the first element that is not m-nil
+    clean and the first that is not strongly so (by enumeration), each
+    element's first strongly pi-regular decomposition (f, u), and J(R_e)."""
+    sub, _index, members = subring_from_elements(ring, comp)
+    ambient = {None: None, **dict(enumerate(members))}
+    unclean = []
+    for m in range(2, 7):
+        bad = m_nil_clean_ring_witness(sub, m)
+        assert (bad is None) == is_m_nil_clean_ring(sub, m)
+        strong_bad = next((x for x in sub.elements()
+                           if m_nil_clean_witness(sub, x, m, strong=True) is None), None)
+        unclean.append((ambient[bad], ambient[strong_bad]))
+    pi = []
+    for x in sub.elements():
+        cert = pi_regular_witness(sub, x)
+        pi.append(None if cert is None else (members[cert.f], members[cert.u]))
+    radical = frozenset(members[i] for i in jacobson_radical(sub))
+    return sub, (unclean, pi, radical)
+
+
+def _identity_component_answers(grading):
+    """The same answers, asked in R."""
+    unclean = []
+    for m in range(2, 7):
+        for strong in (False, True):
+            grading._memo.pop(("re-unclean", m, strong), None)
+        unclean.append((identity_component_unclean(grading, m),
+                        identity_component_unclean(grading, m, strong=True)))
+    pi = []
+    for x in sorted(grading.component(grading.group.identity)):
+        cert = identity_component_pi_regular_witness(grading, x)
+        pi.append(None if cert is None else (cert.f, cert.u))
+    return unclean, pi, identity_component_radical(grading)
+
+
+def _assert_strong_criterion(ring, label):
+    """x^m - x nilpotent iff the enumeration finds a commuting split."""
+    for m in range(2, 7):
+        for x in ring.elements():
+            assert is_strongly_m_nil_clean(ring, x, m) == (
+                m_nil_clean_witness(ring, x, m, strong=True) is not None), (label, m, x)
+
+
+def test_identity_component_answers_match_the_subring():
+    """R_e asked in R gives what R_e built as a ring of its own gives, on
+    every grading of the cases; the strong-cleanness criterion matches the
+    enumeration on each ring of at most 256 elements and each R_e.  Shapes
+    that differ only in their grading group share a ring (label and size)
+    and an R_e, so each such subring, its answers and the criterion sweeps
+    are computed once."""
+    cases = list(_graded_cases(float("inf"), 256))
+    assert len(cases) == 50 + 294  # corpus gradings, then family shapes
+    oracles, swept = {}, set()
+    for label, grading in cases:
+        ring = grading.ring
+        comp = grading.component(grading.group.identity)
+        key = (ring.label, ring.size, comp)
+        if key not in oracles:
+            sub, oracles[key] = _subring_answers(ring, comp)
+            _assert_strong_criterion(sub, label)
+        assert _identity_component_answers(grading) == oracles[key], label
+        if ring.size <= 256 and (ring.label, ring.size) not in swept:
+            swept.add((ring.label, ring.size))
+            _assert_strong_criterion(ring, label)
+    assert (len(oracles), len(swept)) == (92, 78)
+
+
+def test_no_claim_builds_a_subring(monkeypatch):
+    """Every corpus entry's checks and every search target on the catalog
+    instances of at most 256 elements run without building a subring.
+    Documents are parsed first: amalgamations build their image subrings."""
+    parsed = [parse_ring_spec(text) for _name, text in corpus_documents()]
+    catalog = [spec for key in search._catalog_keys()
+               if (spec := search._instance(key)) is not None
+               and spec.grading.ring.size <= 256]
+    original = rings_module.subring_from_elements
+    calls = []
+
+    def counted(ring, *args, **kwargs):
+        calls.append(ring.label)
+        return original(ring, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("gradednil")
+                and getattr(module, "subring_from_elements", None) is original):
+            monkeypatch.setattr(module, "subring_from_elements", counted)
+    for spec in parsed:
+        run_checks(spec)
+    for spec in catalog:
+        for run in TARGETS.values():
+            run(spec)
+    assert len(TARGETS) == 13 and catalog
+    assert calls == []
 
 
 def test_search_counterexample_reproduces_from_its_document(tmp_path, capsys):
@@ -629,6 +740,21 @@ def test_cli_cap_hit_while_building_exits_3(ring, tmp_path, capsys):
     for verb in ("check", "radical"):
         assert main(["--max-elements", "32", verb, str(spec)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gf_table_bound_is_checked_before_primality():
+    """An oversized p is refused by the table bound, before trial division
+    (about 10^8 steps for this prime) could start."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        parse_ring_spec(doc({"m": 2, "ring": {"kind": "gf", "p": 10000000000000061}}))
+    with pytest.raises(ResourceLimitError):
+        make_gf(2, 10**18)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValidationError):
+        make_gf(4)
+    with pytest.raises(SpecError):
+        parse_ring_spec(doc({"m": 2, "ring": {"kind": "gf", "p": 4}}))
 
 
 def test_cli_corpus_cap_hit_while_building_exits_3(capsys):
